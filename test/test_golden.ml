@@ -9,7 +9,11 @@
    captured at nodes=200, trials=3, seed=42 on the pre-refactor tree.
    Regenerate by running the suite with RI_GOLDEN_PRINT=1 and pasting
    the printed table — but only when a change is *meant* to alter the
-   numbers, and say so in the commit. *)
+   numbers, and say so in the commit.
+
+   The fault and recovery sweeps are pinned the same way, and the faulty
+   walk's full event and decision streams are pinned by one digest over
+   a matrix of topologies, cycle policies, schemes and budgets. *)
 
 open Ri_sim
 
@@ -53,6 +57,121 @@ let expected_fig18 =
     ("r2c0", 0x4019555555555555L);
     ("r2c1", 0x401aaaaaaaaaaaabL);
     ("r2c2", 0x401c000000000000L);
+  ]
+
+let expected_faults =
+  [
+    ("r0c0", 0x4040e22222222222L);
+    ("r0c1", 0x4045ed097b425ed1L);
+    ("r0c2", 0x4046a7b425ed097bL);
+    ("r0c3", 0x405ba38e38e38e39L);
+    ("r0c4", 0x405a1ac056b015acL);
+    ("r1c0", 0x3ff0000000000000L);
+    ("r1c1", 0x3feccccccccccccdL);
+    ("r1c2", 0x3febbbbbbbbbbbbcL);
+    ("r1c3", 0x3fe3333333333334L);
+    ("r1c4", 0x3fe1111111111111L);
+    ("r2c0", 0x4040e22222222222L);
+    ("r2c1", 0x404738e38e38e38eL);
+    ("r2c2", 0x40490425ed097b43L);
+    ("r2c3", 0x405cd097b425ed0aL);
+    ("r2c4", 0x405ade79e79e79e8L);
+    ("r3c0", 0x3ff0000000000000L);
+    ("r3c1", 0x3feccccccccccccdL);
+    ("r3c2", 0x3febbbbbbbbbbbbcL);
+    ("r3c3", 0x3fe3333333333334L);
+    ("r3c4", 0x3fe1111111111111L);
+    ("r4c0", 0x403f4cccccccccccL);
+    ("r4c1", 0x4045ed097b425ed1L);
+    ("r4c2", 0x4046a7b425ed097bL);
+    ("r4c3", 0x405bce38e38e38e4L);
+    ("r4c4", 0x4053565965965966L);
+    ("r5c0", 0x3ff0000000000000L);
+    ("r5c1", 0x3feccccccccccccdL);
+    ("r5c2", 0x3febbbbbbbbbbbbcL);
+    ("r5c3", 0x3fe3333333333334L);
+    ("r5c4", 0x3fe1111111111111L);
+    ("r6c0", 0x403f4cccccccccccL);
+    ("r6c1", 0x4047684bda12f685L);
+    ("r6c2", 0x405029c71c71c71cL);
+    ("r6c3", 0x405d12f684bda12fL);
+    ("r6c4", 0x405b1c1b1706c5c2L);
+    ("r7c0", 0x3ff0000000000000L);
+    ("r7c1", 0x3feccccccccccccdL);
+    ("r7c2", 0x3febbbbbbbbbbbbcL);
+    ("r7c3", 0x3fe3333333333334L);
+    ("r7c4", 0x3fe1111111111111L);
+    ("r8c0", 0x4040f33333333333L);
+    ("r8c1", 0x404baaaaaaaaaaabL);
+    ("r8c2", 0x4051f5a12f684bdaL);
+    ("r8c3", 0x405efda12f684bdaL);
+    ("r8c4", 0x405c52f684bda12fL);
+    ("r9c0", 0x3ff0000000000000L);
+    ("r9c1", 0x3feccccccccccccdL);
+    ("r9c2", 0x3febbbbbbbbbbbbcL);
+    ("r9c3", 0x3fe3333333333334L);
+    ("r9c4", 0x3fe1111111111111L);
+    ("r10c0", 0x4040f33333333333L);
+    ("r10c1", 0x404baaaaaaaaaaabL);
+    ("r10c2", 0x4051f5a12f684bdaL);
+    ("r10c3", 0x405efda12f684bdaL);
+    ("r10c4", 0x405c52f684bda12fL);
+    ("r11c0", 0x3ff0000000000000L);
+    ("r11c1", 0x3feccccccccccccdL);
+    ("r11c2", 0x3febbbbbbbbbbbbcL);
+    ("r11c3", 0x3fe3333333333334L);
+    ("r11c4", 0x3fe1111111111111L);
+    ("r12c0", 0x4042488888888888L);
+    ("r12c1", 0x4045ed097b425ed1L);
+    ("r12c2", 0x4046a7b425ed097bL);
+    ("r12c3", 0x4052ce38e38e38e3L);
+    ("r12c4", 0x4051ccde233788ceL);
+    ("r13c0", 0x3ff0000000000000L);
+    ("r13c1", 0x3feccccccccccccdL);
+    ("r13c2", 0x3febbbbbbbbbbbbcL);
+    ("r13c3", 0x3fe3333333333334L);
+    ("r13c4", 0x3fe1111111111111L);
+    ("r14c0", 0x4034d55555555556L);
+    ("r14c1", 0x403625ed097b425fL);
+    ("r14c2", 0x4036c00000000000L);
+    ("r14c3", 0x404267b425ed097bL);
+    ("r14c4", 0x4040c7c9d1f2747dL);
+    ("r15c0", 0x3ff0000000000000L);
+    ("r15c1", 0x3feccccccccccccdL);
+    ("r15c2", 0x3febbbbbbbbbbbbcL);
+    ("r15c3", 0x3fe3333333333334L);
+    ("r15c4", 0x3fe1111111111111L);
+  ]
+
+let expected_recovery =
+  [
+    ("r0c0", 0x3ff0000000000000L);
+    ("r0c1", 0x3ff0000000000000L);
+    ("r0c2", 0x3ff0000000000000L);
+    ("r1c0", 0x3fe2222222222223L);
+    ("r1c1", 0x3fdbbbbbbbbbbbbcL);
+    ("r1c2", 0x3fcddddddddddddfL);
+    ("r2c0", 0x4002aaaaaaaaaaabL);
+    ("r2c1", 0x4008000000000000L);
+    ("r2c2", 0x4008000000000000L);
+    ("r3c0", 0x3ff0000000000000L);
+    ("r3c1", 0x3ff0000000000000L);
+    ("r3c2", 0x3ff0000000000000L);
+    ("r4c0", 0x3fe2222222222223L);
+    ("r4c1", 0x3fdbbbbbbbbbbbbcL);
+    ("r4c2", 0x3fcddddddddddddfL);
+    ("r5c0", 0x4002aaaaaaaaaaabL);
+    ("r5c1", 0x400d555555555555L);
+    ("r5c2", 0x400aaaaaaaaaaaabL);
+    ("r6c0", 0x3ff0000000000000L);
+    ("r6c1", 0x3ff0000000000000L);
+    ("r6c2", 0x3ff0000000000000L);
+    ("r7c0", 0x3fe2222222222223L);
+    ("r7c1", 0x3fdbbbbbbbbbbbbcL);
+    ("r7c2", 0x3fcddddddddddddfL);
+    ("r8c0", 0x4002aaaaaaaaaaabL);
+    ("r8c1", 0x4002aaaaaaaaaaabL);
+    ("r8c2", 0x4002aaaaaaaaaaabL);
   ]
 
 let check_report id run expected () =
@@ -126,6 +245,129 @@ let snapshot_rejects_mismatch () =
       | _ -> Alcotest.fail "fingerprint mismatch accepted"
       | exception Failure _ -> ())
 
+(* The faulty walk end to end: every outcome, fault counter, decision
+   record and trace event of [Trial.run_query_faulty] across both cycle
+   policies on a tree and a cyclic overlay, every search mechanism, with
+   and without a query budget, and every fault class switched on.  One
+   MD5 pins the lot; the totals below only guard that the matrix keeps
+   exercising each faulty transition. *)
+let faulty_walk_nodes = 300
+
+let faulty_walk_trials = 4
+
+let expected_faulty_walk_digest = "439e244dae0f9a765905a1d239343599"
+
+let faulty_spec budget =
+  {
+    Ri_p2p.Fault.update_loss = 0.2;
+    update_delay = 0.1;
+    delay_waves = 2;
+    crash = 0.08;
+    link_flap = 0.05;
+    drift = 0.75;
+    partition = 0.2;
+    heal_after = None;
+    stale_after = Some 1;
+    retries = 2;
+    backoff = 1;
+    query_budget = budget;
+  }
+
+let faulty_walk_configs () =
+  let base =
+    Config.scaled
+      { Config.base with Config.seed = 42 }
+      ~num_nodes:faulty_walk_nodes
+  in
+  List.concat_map
+    (fun topology ->
+      List.concat_map
+        (fun cycle_policy ->
+          List.concat_map
+            (fun search ->
+              List.map
+                (fun budget ->
+                  {
+                    (Config.with_search (Config.with_topology base topology)
+                       search)
+                    with
+                    Config.cycle_policy;
+                    fault = faulty_spec budget;
+                  })
+                [ None; Some 25 ])
+            Config.[ Ri cri; Ri (hri base); Ri (eri base); No_ri ])
+        Ri_p2p.Network.[ No_op; Detect_recover ])
+    [ Config.Tree; Config.Tree_with_cycles { extra_links = 40 } ]
+  (* [Trial.build] rejects CRI on a cyclic no-op overlay. *)
+  |> List.filter (fun cfg -> Config.validate cfg = Ok ())
+
+let faulty_walk_digest () =
+  let open Ri_obs in
+  let configs = faulty_walk_configs () in
+  let buf = Buffer.create (1 lsl 20) in
+  let budget_stops = ref 0 and timeouts = ref 0 in
+  let gave_up = ref 0 and reconciles = ref 0 in
+  let record cfg ~trial =
+    let m = Trial.run_query_faulty cfg ~trial in
+    let q = m.Trial.f_query and st = m.Trial.f_stats in
+    budget_stops := !budget_stops + st.Ri_p2p.Fault.budget_stops;
+    timeouts := !timeouts + st.Ri_p2p.Fault.timeouts;
+    Printf.bprintf buf
+      "trial=%d msgs=%d fwd=%d ret=%d res=%d found=%d sat=%b visited=%d \
+       bytes=%h clean=%d recall=%h drift=%d repair=%d mpr=%h\n"
+      trial q.Trial.messages q.Trial.forwards q.Trial.returns q.Trial.results
+      q.Trial.found q.Trial.satisfied q.Trial.nodes_visited q.Trial.bytes
+      m.Trial.f_clean_found m.Trial.f_recall m.Trial.f_drift_messages
+      m.Trial.f_repair_messages m.Trial.f_messages_per_result;
+    Ri_p2p.Fault.(
+      Printf.bprintf buf "stats %d %d %d %d %d %d %d %d %d %d %d %d\n"
+        st.crashes st.update_drops st.update_dead st.update_delays
+        st.partition_drops st.timeouts st.retries_used st.backoff_total
+        st.fallbacks st.repairs st.recoveries st.budget_stops)
+  in
+  List.iter
+    (fun cfg ->
+      Buffer.add_string buf (Config.search_name cfg.Config.search ^ "\n");
+      Trace.clear ();
+      Decision.clear ();
+      Trace.start ();
+      Decision.start ();
+      Fun.protect
+        ~finally:(fun () ->
+          Trace.stop ();
+          Decision.stop ())
+        (fun () ->
+          for trial = 0 to faulty_walk_trials - 1 do
+            record cfg ~trial
+          done);
+      Buffer.add_string buf (Decision.render_jsonl ());
+      Buffer.add_string buf (Trace.render_jsonl ());
+      List.iter
+        (fun (_, events) ->
+          List.iter
+            (fun e ->
+              match e.Trace.name with
+              | "gave_up" -> incr gave_up
+              | "reconcile" -> incr reconciles
+              | _ -> ())
+            events)
+        (Trace.events ());
+      Trace.clear ();
+      Decision.clear ())
+    configs;
+  let digest = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+  if Ri_util.Env.int "RI_GOLDEN_PRINT" 0 <> 0 then
+    Printf.printf
+      "faulty walk: %d configs, %d budget stops, %d timeouts, %d give-ups, \
+       %d reconciles, digest %s\n"
+      (List.length configs) !budget_stops !timeouts !gave_up !reconciles digest;
+  Alcotest.(check int) "configs" 30 (List.length configs);
+  Alcotest.(check bool) "budget stops exercised" true (!budget_stops > 0);
+  Alcotest.(check bool) "timeouts exercised" true (!timeouts > 0);
+  Alcotest.(check bool) "give-ups exercised" true (!gave_up > 0);
+  Alcotest.(check bool) "reconciles exercised" true (!reconciles > 0);
+  Alcotest.(check string) "digest" expected_faulty_walk_digest digest
+
 let suite =
   ( "golden",
     [
@@ -133,6 +375,13 @@ let suite =
         (check_report "fig13" Ri_experiments.Fig13_schemes.run expected_fig13);
       Alcotest.test_case "fig18 bit-identical at 200 nodes" `Slow
         (check_report "fig18" Ri_experiments.Fig18_updates.run expected_fig18);
+      Alcotest.test_case "faults bit-identical at 200 nodes" `Slow
+        (check_report "faults" Ri_experiments.Fig_faults.run expected_faults);
+      Alcotest.test_case "recovery bit-identical at 200 nodes" `Slow
+        (check_report "recovery" Ri_experiments.Fig_recovery.run
+           expected_recovery);
+      Alcotest.test_case "faulty walk digest at 300 nodes" `Slow
+        faulty_walk_digest;
       Alcotest.test_case "snapshot round trip (converged)" `Quick
         (snapshot_round_trip ~purpose:Trial.For_update ~rooted:false);
       Alcotest.test_case "snapshot round trip (rooted)" `Quick
