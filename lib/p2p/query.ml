@@ -75,16 +75,18 @@ let record_outcome kind o =
 
 type frame = { node : int; from : int; mutable pending : int list }
 
-(* The fault-free depth-first walk, reformulated as a message-driven
-   state machine: exactly one message is in flight per query — the
-   forward the walk just sent, or the return bouncing it back — so
+(* The depth-first walk as a message-driven state machine: exactly one
+   message is in flight per query — the forward the walk just sent (or
+   resent after a timeout), or the return bouncing it back — so
    delivering that message yields at most one successor.  [run] drains
-   the machine inline (the zero-latency schedule, reproducing the
-   synchronous walk bit-for-bit: one token means delivery order cannot
-   differ); the event engine instead routes each [send] through mailbox
-   queueing and link latency, interleaving thousands of walks.  Faulty
-   queries keep the synchronous loop in [run_planned] — retries and
-   anti-entropy make their hops multi-message affairs. *)
+   the machine inline (the zero-latency schedule: one token means
+   delivery order cannot differ); the event engine instead routes each
+   [send] through mailbox queueing and link latency, interleaving
+   thousands of walks.  A fault plan adds transitions: [advance] skips
+   candidates known dead, ranks stale rows last and stops at the query
+   budget; [deliver] turns a forward that cannot land into a timeout,
+   then a resend or a give-up, and reconciles a link on first contact
+   before the hop proceeds. *)
 module Step = struct
   type kind = Forward | Return
 
@@ -95,6 +97,8 @@ module Step = struct
     query : Ri_content.Workload.query;
     forwarding : forwarding;
     rng : Prng.t;
+    plan : Fault.t option;
+    budget : int;
     on_event : event -> unit;
     decide : Ri_obs.Decision.sink;
     live : bool;
@@ -103,13 +107,33 @@ module Step = struct
     topics : Ri_content.Topic.id list;
     counters : Message.counters;
     visited : bool array;
+    (* Per directed link, how many times this query has crossed it.
+       With detect-and-recover a node remembers the query and resumes
+       its neighbor cursor, so each link is used once; with no-op a
+       revisited node keeps no query state and re-descends ("extra
+       messages are generated when we traverse a cycle more than once",
+       Section 8.2) — the second crossing carries the repeat traversal,
+       and the count cap keeps the walk finite, standing in for the TTL
+       any deployed system imposes. *)
     sent : (int * int, int) Hashtbl.t;
     max_sends : int;
+    (* Follow ranks (which candidate in forwarding order a frame tried)
+       live in a side table touched only when recording, so the frame
+       record — one allocation per visited node — stays at its
+       provenance-free size. *)
     ranks : (int, int) Hashtbl.t;
+    (* Links already reconciled: anti-entropy runs once per link however
+       many times the walk crosses it. *)
+    reconciled : (int * int, unit) Hashtbl.t;
     mutable stack : frame list;
     mutable remaining : int;
     mutable found : int;
     mutable nodes_visited : int;
+    (* The forward in flight: its timeouts so far, and the Follow rank
+       it claimed when it was first sent. *)
+    mutable attempt : int;
+    mutable rank : int;
+    mutable budget_stopped : bool;
   }
 
   let sends t u v = Option.value ~default:0 (Hashtbl.find_opt t.sent (u, v))
@@ -129,9 +153,16 @@ module Step = struct
     end
 
   let order_neighbors t u ~from =
-    let is_candidate v = v <> from && sends t u v < t.max_sends in
-    match t.forwarding with
-    | Random_walk ->
+    let is_candidate v =
+      v <> from
+      && sends t u v < t.max_sends
+      &&
+      match t.plan with
+      | Some p -> not (Fault.knows_dead p ~at:u ~dead:v)
+      | None -> true
+    in
+    match (t.forwarding, t.plan) with
+    | Random_walk, _ ->
         let nbrs = Network.neighbors t.net u in
         let count = ref 0 in
         Array.iter (fun v -> if is_candidate v then incr count) nbrs;
@@ -146,39 +177,85 @@ module Step = struct
           nbrs;
         Prng.shuffle_in_place t.rng cands;
         Array.to_list cands
-    | Ri_guided ->
+    | Ri_guided, Some p when Fault.fallback p ->
+        (* Graceful degradation: rows with detectable update gaps are not
+           trusted — fresh rows rank by goodness as usual, stale ones
+           follow in random (No-RI) order.  Demotion alone does most of
+           the work: a garbage count can no longer outbid an honest
+           one. *)
+        let fresh v = not (Fault.stale p ~at:u ~peer:v) in
+        let ranked =
+          Scheme.rank_peers (Network.ri t.net u) ~query:t.projected
+            ~keep:(fun v -> is_candidate v && fresh v)
+        in
+        let stale =
+          List.filter
+            (fun v -> is_candidate v && not (fresh v))
+            (List.sort compare (Scheme.peers (Network.ri t.net u)))
+        in
+        if stale = [] then ranked
+        else begin
+          let arr = Array.of_list stale in
+          Fault.shuffle p arr;
+          Fault.note_fallbacks p (Array.length arr);
+          ranked @ Array.to_list arr
+        end
+    | Ri_guided, _ ->
+        (* Only neighbors the RI knows about are candidates: on a rooted
+           construction that is exactly the downstream neighbors, and on
+           a converged network every link has a row. *)
         Scheme.rank_peers (Network.ri t.net u) ~query:t.projected
           ~keep:is_candidate
 
-  (* Fault-free oracle: matching documents reachable through candidate
-     [v] with the deciding node [u] removed. *)
-  let truth_of t u v =
-    let n = Network.size t.net in
-    let seen = Bytes.make n '\000' in
-    Bytes.set seen u '\001';
-    Bytes.set seen v '\001';
-    let q = Queue.create () in
-    Queue.add v q;
-    let total = ref 0 in
-    while not (Queue.is_empty q) do
-      let x = Queue.pop q in
-      total := !total + Network.count_matching t.net x t.topics;
-      Array.iter
-        (fun y ->
-          if Bytes.get seen y = '\000' then begin
-            Bytes.set seen y '\001';
-            Queue.add y q
-          end)
-        (Network.neighbors t.net x)
-    done;
-    !total
+  (* A message from [x] cannot reach [y]: [y] is crash-stopped or a cut
+     severs the link. *)
+  let blocked t x y =
+    match t.plan with
+    | Some p -> Fault.is_dead p y || not (Fault.same_side p x y)
+    | None -> false
 
+  (* Oracle: matching documents actually reachable through candidate [v]
+     when deciding at [u] — BFS over live links with [u] removed (the
+     query would arrive via [u], so paths back through it are not [v]'s
+     to claim) and crash-stopped nodes impassable. *)
+  let truth_of t u v =
+    if blocked t u v then 0
+    else begin
+      let n = Network.size t.net in
+      let seen = Bytes.make n '\000' in
+      Bytes.set seen u '\001';
+      Bytes.set seen v '\001';
+      let q = Queue.create () in
+      Queue.add v q;
+      let total = ref 0 in
+      while not (Queue.is_empty q) do
+        let x = Queue.pop q in
+        total := !total + Network.count_matching t.net x t.topics;
+        Array.iter
+          (fun y ->
+            if Bytes.get seen y = '\000' then begin
+              Bytes.set seen y '\001';
+              if not (blocked t x y) then Queue.add y q
+            end)
+          (Network.neighbors t.net x)
+      done;
+      !total
+    end
+
+  (* Provenance capture.  Runs only when a Decision sink is recording —
+     in particular the per-candidate oracle BFS, which costs O(edges)
+     per decision and must never touch the measured query path. *)
   let emit_decide t u ~from order =
     let ri_goodness v =
       match t.forwarding with
       | Ri_guided ->
           Scheme.goodness (Network.ri t.net u) ~peer:v ~query:t.projected
       | Random_walk -> 0.
+    in
+    let stale_of v =
+      match t.plan with
+      | Some p -> Fault.stale p ~at:u ~peer:v
+      | None -> false
     in
     let wave_of v =
       if Network.has_ri t.net then
@@ -192,7 +269,7 @@ module Step = struct
             Ri_obs.Decision.peer = v;
             goodness = ri_goodness v;
             truth = truth_of t u v;
-            stale = false;
+            stale = stale_of v;
             wave = wave_of v;
           })
         order
@@ -211,6 +288,12 @@ module Step = struct
           in
           (bp, br, bt - first.Ri_obs.Decision.truth)
     in
+    let stale_demoted =
+      match t.plan with
+      | Some p when Fault.fallback p ->
+          List.length (List.filter (fun c -> c.Ri_obs.Decision.stale) cands)
+      | _ -> 0
+    in
     Ri_obs.Decision.emit t.decide
       (Decide
          {
@@ -221,9 +304,11 @@ module Step = struct
            oracle_best;
            oracle_rank;
            regret;
-           stale_demoted = 0;
+           stale_demoted;
          })
 
+  (* Every frame opens through here so each decision point is recorded
+     exactly once, with the candidate list in true forwarding order. *)
   let ordered t u ~from =
     let order = order_neighbors t u ~from in
     if t.live then emit_decide t u ~from order;
@@ -234,10 +319,23 @@ module Step = struct
     Hashtbl.replace t.ranks u (r + 1);
     r
 
+  (* Every attempt at a hop is a real message. *)
+  let forward t ~src ~dst =
+    t.counters.Message.query_forwards <- t.counters.Message.query_forwards + 1;
+    t.on_event (Forwarded { sender = src; receiver = dst });
+    Some { src; dst; kind = Forward }
+
+  let bounce t ~src ~dst =
+    t.counters.Message.query_returns <- t.counters.Message.query_returns + 1;
+    t.on_event (Returned { sender = src; receiver = dst });
+    if t.live then
+      Ri_obs.Decision.emit t.decide (Backtrack { node = src; target = dst });
+    Some { src; dst; kind = Return }
+
   (* Produce the walk's next outgoing message, doing the send-side
-     bookkeeping (link counts, counters, events, provenance) exactly
-     where the synchronous loop does it.  [None] means the query is
-     over: satisfied, or the origin's frame is exhausted. *)
+     bookkeeping (link counts, counters, events, provenance).  [None]
+     means the query is over: satisfied, out of budget, or the origin's
+     frame is exhausted. *)
   let rec advance t =
     if t.remaining <= 0 then None
     else
@@ -248,27 +346,96 @@ module Step = struct
           | [] ->
               (* Exhausted: return the query to whoever sent it. *)
               t.stack <- rest;
-              if top.from >= 0 then begin
-                t.counters.Message.query_returns <-
-                  t.counters.Message.query_returns + 1;
-                t.on_event (Returned { sender = top.node; receiver = top.from });
-                if t.live then
-                  Ri_obs.Decision.emit t.decide
-                    (Backtrack { node = top.node; target = top.from });
-                Some { src = top.node; dst = top.from; kind = Return }
-              end
+              if top.from >= 0 then bounce t ~src:top.node ~dst:top.from
               else advance t
           | v :: pending ->
               top.pending <- pending;
-              Hashtbl.replace t.sent (top.node, v) (sends t top.node v + 1);
-              t.counters.Message.query_forwards <-
-                t.counters.Message.query_forwards + 1;
-              t.on_event (Forwarded { sender = top.node; receiver = v });
-              (if t.live then
-                 Ri_obs.Decision.emit t.decide
-                   (Follow
-                      { node = top.node; target = v; rank = next_rank t top.node }));
-              Some { src = top.node; dst = v; kind = Forward })
+              if t.counters.Message.query_forwards >= t.budget then begin
+                t.budget_stopped <- true;
+                Option.iter Fault.note_budget_stop t.plan;
+                t.stack <- [];
+                None
+              end
+              else begin
+                Hashtbl.replace t.sent (top.node, v) (sends t top.node v + 1);
+                (* Rank is claimed when forwarding begins, so a forward
+                   abandoned after its retries still consumes its slot. *)
+                if t.live then t.rank <- next_rank t top.node;
+                t.attempt <- 0;
+                forward t ~src:top.node ~dst:v
+              end)
+
+  (* The forward landed: the receiver processes the visit (or bounces a
+     detected revisit) and the walk moves on. *)
+  let arrive t ~src ~dst =
+    if t.live then
+      Ri_obs.Decision.emit t.decide
+        (Follow { node = src; target = dst; rank = t.rank });
+    if Network.cycle_policy t.net = Network.Detect_recover && t.visited.(dst)
+    then
+      (* The revisited node detects the duplicate and bounces the query
+         straight back. *)
+      bounce t ~src:dst ~dst:src
+    else begin
+      process_visit t dst;
+      if t.remaining > 0 then
+        t.stack <-
+          { node = dst; from = src; pending = ordered t dst ~from:src }
+          :: t.stack;
+      advance t
+    end
+
+  (* First contact after fault knowledge accrued on either side: lazy
+     anti-entropy across this link before the query proceeds. *)
+  let reconcile t p ~src ~dst =
+    let link = (min src dst, max src dst) in
+    if
+      Network.has_ri t.net
+      && (Fault.dirty p src || Fault.dirty p dst)
+      && not (Hashtbl.mem t.reconciled link)
+    then begin
+      Hashtbl.replace t.reconciled link ();
+      Churn.reconcile t.net src dst ~plan:p ~counters:t.counters;
+      t.on_event (Reconciled { a = src; b = dst })
+    end
+
+  (* Every retry timed out, or the budget ran dry mid-retry. *)
+  let give_up t p ~src ~dst =
+    if not (Fault.same_side p src dst) then begin
+      (* Unreachable across an active cut: the peer is suspected, not
+         buried.  No death certificate — post-heal anti-entropy must
+         find both nodes alive — but the row gets a gap mark so ranking
+         demotes it until the link is reconciled. *)
+      Fault.note_missed p ~at:src ~peer:dst;
+      t.on_event (Gave_up { sender = src; receiver = dst })
+    end
+    else if not (Fault.knows_dead p ~at:src ~dead:dst) then begin
+      (* Presumed dead (possibly a false positive from flaps): remove
+         the row so the garbage entry stops attracting the walk, and
+         remember the certificate for gossip. *)
+      ignore (Churn.detect_crash t.net src ~dead:dst ~plan:p);
+      t.on_event (Gave_up { sender = src; receiver = dst })
+    end;
+    advance t
+
+  (* A crash-stopped receiver, a cut or a link flap swallowed the
+     forward.  The timeout charges full-jitter backoff; the sender
+     resends up to [retries] times, then presumes the neighbor gone. *)
+  let time_out t p ~src ~dst =
+    let attempt = t.attempt in
+    Fault.note_timeout p ~attempt;
+    t.on_event (Timed_out { sender = src; receiver = dst; attempt });
+    if t.live then
+      Ri_obs.Decision.emit t.decide
+        (Timeout { node = src; target = dst; attempt });
+    t.attempt <- attempt + 1;
+    if t.attempt > Fault.retries p then give_up t p ~src ~dst
+    else begin
+      Fault.note_retry p;
+      if t.counters.Message.query_forwards >= t.budget then
+        give_up t p ~src ~dst
+      else forward t ~src ~dst
+    end
 
   let deliver t { src; dst; kind } =
     match kind with
@@ -276,34 +443,27 @@ module Step = struct
         (* The child frame was popped when this return was sent; the
            receiver's own frame is on top again and resumes. *)
         advance t
-    | Forward ->
-        if Network.cycle_policy t.net = Network.Detect_recover && t.visited.(dst)
-        then begin
-          (* The revisited node detects the duplicate and bounces the
-             query straight back. *)
-          t.counters.Message.query_returns <-
-            t.counters.Message.query_returns + 1;
-          t.on_event (Returned { sender = dst; receiver = src });
-          if t.live then
-            Ri_obs.Decision.emit t.decide (Backtrack { node = dst; target = src });
-          Some { src = dst; dst = src; kind = Return }
-        end
-        else begin
-          process_visit t dst;
-          if t.remaining > 0 then
-            t.stack <-
-              { node = dst; from = src; pending = ordered t dst ~from:src }
-              :: t.stack;
-          advance t
-        end
+    | Forward -> (
+        match t.plan with
+        | None -> arrive t ~src ~dst
+        | Some p ->
+            (* A dead or cross-cut receiver consumes no flap draw. *)
+            if blocked t src dst || Fault.flap p then time_out t p ~src ~dst
+            else begin
+              reconcile t p ~src ~dst;
+              arrive t ~src ~dst
+            end)
 
-  (* [who] labels validation errors, so [run]'s messages are unchanged
-     when it delegates here. *)
+  (* [who] labels validation errors, so [run]'s messages are its own. *)
   let start_for who ?rng ?(on_event = fun (_ : event) -> ())
-      ?(decide = Ri_obs.Decision.null) net ~origin ~query ~forwarding =
+      ?(decide = Ri_obs.Decision.null) ?plan net ~origin ~query ~forwarding =
     let n = Network.size net in
     if origin < 0 || origin >= n then
       invalid_arg (who ^ ": origin out of range");
+    (match plan with
+    | Some p when Fault.is_dead p origin ->
+        invalid_arg (who ^ ": origin is crash-stopped")
+    | _ -> ());
     (match forwarding with
     | Ri_guided ->
         if not (Network.has_ri net) then
@@ -325,6 +485,9 @@ module Step = struct
         query;
         forwarding;
         rng;
+        plan;
+        budget =
+          (match plan with Some p -> Fault.query_budget p | None -> max_int);
         on_event;
         decide;
         live;
@@ -339,10 +502,14 @@ module Step = struct
           | Network.Detect_recover -> 1
           | Network.No_op -> 2);
         ranks = Hashtbl.create (if live then 32 else 1);
+        reconciled = Hashtbl.create (if Option.is_some plan then 8 else 1);
         stack = [];
         remaining = query.Ri_content.Workload.stop;
         found = 0;
         nodes_visited = 0;
+        attempt = 0;
+        rank = 0;
+        budget_stopped = false;
       }
     in
     process_visit t origin;
@@ -367,6 +534,7 @@ module Step = struct
     (if t.live then
        let reason =
          if t.found >= t.query.Ri_content.Workload.stop then "satisfied"
+         else if t.budget_stopped then "budget"
          else "exhausted"
        in
        Ri_obs.Decision.emit t.decide
@@ -385,421 +553,16 @@ module Step = struct
       (outcome t)
 end
 
-let run_planned ?rng ?(on_event = fun (_ : event) -> ())
-    ?(decide = Ri_obs.Decision.null) ~plan net ~origin ~query ~forwarding =
-  (* The synchronous faulty walk.  [plan] is threaded below as an option
-     so the body stays textually the shared original; fault-free
-     execution never comes through here (see [run]). *)
-  let plan = Some plan in
-  let n = Network.size net in
-  if origin < 0 || origin >= n then invalid_arg "Query.run: origin out of range";
-  (match plan with
-  | Some p when Fault.is_dead p origin ->
-      invalid_arg "Query.run: origin is crash-stopped"
-  | _ -> ());
-  (match forwarding with
-  | Ri_guided ->
-      if not (Network.has_ri net) then
-        invalid_arg "Query.run: Ri_guided needs a network with routing indices"
-  | Random_walk -> ());
-  let rng = match rng with Some r -> r | None -> Network.rng net in
-  let projected = Network.project_query net query.Ri_content.Workload.topics in
-  let topics = query.Ri_content.Workload.topics in
-  let counters = Message.create () in
-  let visited = Array.make n false in
-  (* Per directed link, how many times this query has crossed it.  With
-     detect-and-recover a node remembers the query and resumes its
-     neighbor cursor, so each link is used once; with no-op a revisited
-     node keeps no query state and re-descends ("extra messages are
-     generated when we traverse a cycle more than once", Section 8.2) —
-     the second crossing carries the repeat traversal, and the count cap
-     keeps the walk finite, standing in for the TTL any deployed system
-     imposes. *)
-  let max_sends =
-    match Network.cycle_policy net with
-    | Network.Detect_recover -> 1
-    | Network.No_op -> 2
-  in
-  let sent : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-  let sends u v = Option.value ~default:0 (Hashtbl.find_opt sent (u, v)) in
-  let remaining = ref query.Ri_content.Workload.stop in
-  let found = ref 0 in
-  let nodes_visited = ref 0 in
-  let process_visit u =
-    if not visited.(u) then begin
-      visited.(u) <- true;
-      incr nodes_visited;
-      let local = Network.count_matching net u topics in
-      if local > 0 then begin
-        counters.result_messages <- counters.result_messages + 1;
-        on_event (Results { at = u; count = local });
-        found := !found + local;
-        remaining := !remaining - local
-      end
-    end
-  in
-  let order_neighbors u ~from =
-    let is_candidate v =
-      v <> from && sends u v < max_sends
-      && match plan with
-         | Some p -> not (Fault.knows_dead p ~at:u ~dead:v)
-         | None -> true
-    in
-    match forwarding with
-    | Random_walk ->
-        let nbrs = Network.neighbors net u in
-        let count = ref 0 in
-        Array.iter (fun v -> if is_candidate v then incr count) nbrs;
-        let cands = Array.make !count 0 in
-        let i = ref 0 in
-        Array.iter
-          (fun v ->
-            if is_candidate v then begin
-              cands.(!i) <- v;
-              incr i
-            end)
-          nbrs;
-        Prng.shuffle_in_place rng cands;
-        Array.to_list cands
-    | Ri_guided -> (
-        (* Only neighbors the RI knows about are candidates: on a rooted
-           construction that is exactly the downstream neighbors, and on
-           a converged network every link has a row. *)
-        match plan with
-        | Some p when Fault.fallback p ->
-            (* Graceful degradation: rows with detectable update gaps are
-               not trusted — fresh rows rank by goodness as usual, stale
-               ones follow in random (No-RI) order.  Demotion alone does
-               most of the work: a garbage count can no longer outbid an
-               honest one. *)
-            let fresh v = not (Fault.stale p ~at:u ~peer:v) in
-            let ranked =
-              Scheme.rank_peers (Network.ri net u) ~query:projected
-                ~keep:(fun v -> is_candidate v && fresh v)
-            in
-            let stale =
-              List.filter
-                (fun v -> is_candidate v && not (fresh v))
-                (List.sort compare (Scheme.peers (Network.ri net u)))
-            in
-            if stale = [] then ranked
-            else begin
-              let arr = Array.of_list stale in
-              Fault.shuffle p arr;
-              Fault.note_fallbacks p (Array.length arr);
-              ranked @ Array.to_list arr
-            end
-        | _ ->
-            Scheme.rank_peers (Network.ri net u) ~query:projected
-              ~keep:is_candidate)
-  in
-  (* Provenance capture.  Everything below [live] runs only when a
-     Decision sink is recording — in particular the per-candidate oracle
-     BFS, which costs O(edges) per decision and must never touch the
-     measured query path. *)
-  let live = Ri_obs.Decision.is_live decide in
-  let scheme_name =
-    match forwarding with
-    | Random_walk -> "none"
-    | Ri_guided -> (
-        match Network.scheme net with
-        | Some k -> Scheme.kind_name k
-        | None -> "none")
-  in
-  (* Oracle: matching documents actually reachable through candidate [v]
-     when deciding at [u] — BFS over live links with [u] removed (the
-     query would arrive via [u], so paths back through it are not [v]'s
-     to claim) and crash-stopped nodes impassable. *)
-  let truth_of u v =
-    match plan with
-    | Some p when Fault.is_dead p v || not (Fault.same_side p u v) -> 0
-    | _ ->
-        let seen = Bytes.make n '\000' in
-        Bytes.set seen u '\001';
-        Bytes.set seen v '\001';
-        let q = Queue.create () in
-        Queue.add v q;
-        let total = ref 0 in
-        while not (Queue.is_empty q) do
-          let x = Queue.pop q in
-          total := !total + Network.count_matching net x topics;
-          Array.iter
-            (fun y ->
-              if Bytes.get seen y = '\000' then begin
-                Bytes.set seen y '\001';
-                match plan with
-                | Some p when Fault.is_dead p y || not (Fault.same_side p x y)
-                  ->
-                    ()
-                | _ -> Queue.add y q
-              end)
-            (Network.neighbors net x)
-        done;
-        !total
-  in
-  let emit_decide u ~from order =
-    let ri_goodness v =
-      match forwarding with
-      | Ri_guided -> Scheme.goodness (Network.ri net u) ~peer:v ~query:projected
-      | Random_walk -> 0.
-    in
-    let stale_of v =
-      match plan with Some p -> Fault.stale p ~at:u ~peer:v | None -> false
-    in
-    let wave_of v =
-      if Network.has_ri net then Scheme.row_stamp (Network.ri net u) ~peer:v
-      else 0
-    in
-    let cands =
-      List.map
-        (fun v ->
-          {
-            Ri_obs.Decision.peer = v;
-            goodness = ri_goodness v;
-            truth = truth_of u v;
-            stale = stale_of v;
-            wave = wave_of v;
-          })
-        order
-    in
-    let oracle_best, oracle_rank, regret =
-      match cands with
-      | [] -> (-1, 0, 0)
-      | first :: _ ->
-          let _, bp, br, bt =
-            List.fold_left
-              (fun (i, bp, br, bt) (c : Ri_obs.Decision.candidate) ->
-                if c.truth > bt || (c.truth = bt && c.peer < bp) then
-                  (i + 1, c.peer, i, c.truth)
-                else (i + 1, bp, br, bt))
-              (0, -1, 0, min_int) cands
-          in
-          (bp, br, bt - first.Ri_obs.Decision.truth)
-    in
-    let stale_demoted =
-      match plan with
-      | Some p when Fault.fallback p ->
-          List.length (List.filter (fun c -> c.Ri_obs.Decision.stale) cands)
-      | _ -> 0
-    in
-    Ri_obs.Decision.emit decide
-      (Decide
-         {
-           node = u;
-           from;
-           scheme = scheme_name;
-           candidates = cands;
-           oracle_best;
-           oracle_rank;
-           regret;
-           stale_demoted;
-         })
-  in
-  (* Every frame opens through here so each decision point is recorded
-     exactly once, with the candidate list in true forwarding order. *)
-  let ordered u ~from =
-    let order = order_neighbors u ~from in
-    if live then emit_decide u ~from order;
-    order
-  in
-  (* Follow ranks (which candidate in forwarding order a frame tried)
-     live in a side table touched only when recording, so the frame
-     record — one allocation per visited node — stays at its
-     provenance-free size. *)
-  let ranks : (int, int) Hashtbl.t = Hashtbl.create (if live then 32 else 1) in
-  let next_rank u =
-    let r = try Hashtbl.find ranks u with Not_found -> 0 in
-    Hashtbl.replace ranks u (r + 1);
-    r
-  in
-  let budget = match plan with Some p -> Fault.query_budget p | None -> max_int in
-  let budget_stopped = ref false in
-  (* Link pairs already reconciled during this query; anti-entropy runs
-     once per link however many times the walk crosses it. *)
-  let reconciled : (int * int, unit) Hashtbl.t = Hashtbl.create 8 in
-  let stack = ref [] in
-  let descend top v =
-    if Network.cycle_policy net = Network.Detect_recover && visited.(v) then begin
-      (* The revisited node detects the duplicate and bounces the
-         query straight back. *)
-      counters.query_returns <- counters.query_returns + 1;
-      on_event (Returned { sender = v; receiver = top.node });
-      if live then
-        Ri_obs.Decision.emit decide (Backtrack { node = v; target = top.node })
-    end
-    else begin
-      process_visit v;
-      if !remaining > 0 then
-        stack :=
-          { node = v; from = top.node; pending = ordered v ~from:top.node }
-          :: !stack
-    end
-  in
-  process_visit origin;
-  (if !remaining > 0 then
-     stack := [ { node = origin; from = -1; pending = ordered origin ~from:(-1) } ]);
-  while !stack <> [] && !remaining > 0 do
-    match !stack with
-    | [] -> ()
-    | top :: rest -> (
-        match top.pending with
-        | [] ->
-            (* Exhausted: return the query to whoever sent it. *)
-            stack := rest;
-            if top.from >= 0 then begin
-              counters.query_returns <- counters.query_returns + 1;
-              on_event (Returned { sender = top.node; receiver = top.from });
-              if live then
-                Ri_obs.Decision.emit decide
-                  (Backtrack { node = top.node; target = top.from })
-            end
-        | v :: pending -> (
-            top.pending <- pending;
-            match plan with
-            | None ->
-                Hashtbl.replace sent (top.node, v) (sends top.node v + 1);
-                counters.query_forwards <- counters.query_forwards + 1;
-                on_event (Forwarded { sender = top.node; receiver = v });
-                (if live then
-                   Ri_obs.Decision.emit decide
-                     (Follow { node = top.node; target = v; rank = next_rank top.node }));
-                descend top v
-            | Some p ->
-                if counters.query_forwards >= budget then begin
-                  if not !budget_stopped then begin
-                    budget_stopped := true;
-                    Fault.note_budget_stop p
-                  end;
-                  stack := []
-                end
-                else begin
-                  Hashtbl.replace sent (top.node, v) (sends top.node v + 1);
-                  (* Rank is claimed when forwarding begins, so a forward
-                     abandoned after its retries still consumes its slot. *)
-                  let rank = if live then next_rank top.node else 0 in
-                  (* Deliver with bounded retry: a crash-stopped receiver
-                     (or a flapping link) times out; each attempt is a
-                     real message and each timeout charges deterministic
-                     exponential backoff.  [retries] failures in a row
-                     and the sender presumes the neighbor dead. *)
-                  let delivered = ref false in
-                  let attempt = ref 0 in
-                  let exhausted = ref false in
-                  while (not !delivered) && not !exhausted do
-                    counters.query_forwards <- counters.query_forwards + 1;
-                    on_event (Forwarded { sender = top.node; receiver = v });
-                    let lost =
-                      (* A cross-cut forward can never land; like a dead
-                         receiver it consumes no flap draw. *)
-                      if Fault.is_dead p v || not (Fault.same_side p top.node v)
-                      then true
-                      else Fault.flap p
-                    in
-                    if not lost then delivered := true
-                    else begin
-                      Fault.note_timeout p ~attempt:!attempt;
-                      on_event
-                        (Timed_out
-                           { sender = top.node; receiver = v; attempt = !attempt });
-                      if live then
-                        Ri_obs.Decision.emit decide
-                          (Timeout
-                             { node = top.node; target = v; attempt = !attempt });
-                      incr attempt;
-                      if !attempt > Fault.retries p then exhausted := true
-                      else begin
-                        Fault.note_retry p;
-                        if counters.query_forwards >= budget then
-                          exhausted := true
-                      end
-                    end
-                  done;
-                  if !delivered then begin
-                    (* First contact after fault knowledge accrued on
-                       either side: lazy anti-entropy across this link
-                       before the query proceeds. *)
-                    (if
-                       Network.has_ri net
-                       && (Fault.dirty p top.node || Fault.dirty p v)
-                       && not
-                            (Hashtbl.mem reconciled
-                               (min top.node v, max top.node v))
-                     then begin
-                       Hashtbl.replace reconciled
-                         (min top.node v, max top.node v)
-                         ();
-                       Churn.reconcile net top.node v ~plan:p ~counters;
-                       on_event (Reconciled { a = top.node; b = v })
-                     end);
-                    if live then
-                      Ri_obs.Decision.emit decide
-                        (Follow { node = top.node; target = v; rank });
-                    descend top v
-                  end
-                  else if not (Fault.same_side p top.node v) then begin
-                    (* Unreachable across an active cut: the peer is
-                       suspected, not buried.  No death certificate —
-                       post-heal anti-entropy must find both nodes alive
-                       — but the row gets a gap mark so ranking demotes
-                       it until the link is reconciled. *)
-                    Fault.note_missed p ~at:top.node ~peer:v;
-                    on_event (Gave_up { sender = top.node; receiver = v })
-                  end
-                  else if not (Fault.knows_dead p ~at:top.node ~dead:v) then begin
-                    (* Presumed dead (possibly a false positive from
-                       flaps): remove the row so the garbage entry stops
-                       attracting the walk, and remember the certificate
-                       for gossip. *)
-                    ignore (Churn.detect_crash net top.node ~dead:v ~plan:p);
-                    on_event (Gave_up { sender = top.node; receiver = v })
-                  end
-                end))
-  done;
-  (if live then
-     let reason =
-       if !found >= query.Ri_content.Workload.stop then "satisfied"
-       else if !budget_stopped then "budget"
-       else "exhausted"
-     in
-     Ri_obs.Decision.emit decide
-       (Stop
-          {
-            reason;
-            found = !found;
-            forwards = counters.Message.query_forwards;
-            returns = counters.Message.query_returns;
-            visited = !nodes_visited;
-          }));
-  record_outcome
-    (match forwarding with Ri_guided -> m_ri_guided | Random_walk -> m_random_walk)
-    {
-      found = !found;
-      satisfied = !found >= query.Ri_content.Workload.stop;
-      nodes_visited = !nodes_visited;
-      counters;
-    }
-
 let run ?rng ?on_event ?decide ?plan net ~origin ~query ~forwarding =
-  match plan with
-  | Some plan ->
-      run_planned ?rng ?on_event ?decide ~plan net ~origin ~query ~forwarding
-  | None ->
-      (* Fault-free queries execute on the step machine — the same
-         machine the event engine drives — drained inline: exactly the
-         zero-latency schedule, which replays the synchronous walk
-         bit-for-bit (see {!Step}). *)
-      let t, first =
-        Step.start_for "Query.run" ?rng ?on_event ?decide net ~origin ~query
-          ~forwarding
-      in
-      let next = ref first in
-      let continue = ref true in
-      while !continue do
-        match !next with
-        | None -> continue := false
-        | Some s -> next := Step.deliver t s
-      done;
-      Step.finish t
+  (* Every query executes on the step machine the event engine drives,
+     drained inline: exactly the zero-latency schedule (see {!Step}). *)
+  let t, first =
+    Step.start_for "Query.run" ?rng ?on_event ?decide ?plan net ~origin ~query
+      ~forwarding
+  in
+  let rec drain = function None -> () | Some s -> drain (Step.deliver t s) in
+  drain first;
+  Step.finish t
 
 type parallel_outcome = {
   p_found : int;

@@ -74,34 +74,47 @@ val run :
     routing decisions worth explaining.
 
     [plan] runs the query in the fault environment: forwards to
-    crash-stopped neighbors (and, with probability [link_flap], to live
-    ones) time out and are retried up to [retries] times with
-    deterministic exponential backoff; a neighbor that never answers is
-    presumed dead — its row is dropped ({!Churn.detect_crash}) and the
-    walk moves on.  First contact across a link after fault knowledge
-    accrued triggers {!Churn.reconcile}.  With [stale_after] set,
-    [Ri_guided] ranks rows with detectable update gaps {e after} all
-    fresh rows, in random order — graceful degradation to No-RI ranking
-    instead of trusting garbage counts.  [query_budget] caps total
-    forwards.  Omitting [plan] is bit-for-bit the fault-free query.
+    crash-stopped neighbors, across an active cut, or (with probability
+    [link_flap]) to live ones time out and are resent up to [retries]
+    times, each timeout charging full-jitter backoff drawn from the
+    plan's retry stream ({!Fault.backoff_ticks}).  A neighbor that never
+    answers is presumed dead — its row is dropped ({!Churn.detect_crash})
+    and the walk moves on; one behind a cut only gets its row's gap
+    marked.  First contact across a link after fault knowledge accrued
+    triggers {!Churn.reconcile}.  With [stale_after] set, [Ri_guided]
+    ranks rows with detectable update gaps {e after} all fresh rows, in
+    random order — graceful degradation to No-RI ranking instead of
+    trusting garbage counts.  [query_budget] caps total forwards,
+    resends included.  Omitting [plan] is bit-for-bit the fault-free
+    query.
+
+    Every query, with a plan or without, runs on the {!Step} machine,
+    drained inline.
     @raise Invalid_argument for [Ri_guided] on a No-RI network, an
     out-of-range origin, or a crash-stopped origin. *)
 
-(** The fault-free query as a message-driven state machine, for the
-    discrete-event engine ({!Ri_sim.Engine} drives one of these per
-    in-flight query).
+(** The query as a message-driven state machine: {!run} drains one
+    inline, and the discrete-event engine ({!Ri_sim.Engine}) drives one
+    per in-flight query.
 
     The sequential walk keeps exactly one message in flight — the
-    forward it just sent, or the return bouncing it back — so
-    {!deliver}ing that message yields at most one successor [send].
-    Draining the machine inline is the zero-latency schedule and
-    reproduces {!run} (without a fault plan) bit-for-bit: same events
-    in the same order, same counters, same outcome.  An engine instead
-    routes each [send] through its receiver's mailbox and the link
-    latency model; because fault-free queries never write network
-    state, interleaving thousands of machines leaves each one's
-    behavior — and its random stream, when given a private [rng] —
-    untouched. *)
+    forward it just sent (or resent after a timeout), or the return
+    bouncing it back — so {!deliver}ing that message yields at most one
+    successor [send].  Draining the machine inline is the zero-latency
+    schedule: it is how {!run} executes, so a machine started here
+    replays {!run} without a plan bit-for-bit — same events in the same
+    order, same counters, same outcome.  An engine instead routes each
+    [send] through its receiver's mailbox and the link latency model;
+    because fault-free queries never write network state, interleaving
+    thousands of machines leaves each one's behavior — and its random
+    stream, when given a private [rng] — untouched.
+
+    The fault plan's transitions (timeouts, resends, give-ups, stale-row
+    fallback, the budget, lazy repair) live in this machine too, but
+    only {!run} can supply a plan: a faulty walk writes network state —
+    it removes rows of presumed-dead peers and reconciles links — so
+    interleaved faulty machines would see each other's writes and no
+    longer be independent.  That is why {!start} takes no plan. *)
 module Step : sig
   type t
   (** One in-flight query: visited set, frame stack, counters. *)
@@ -130,7 +143,10 @@ module Step : sig
   val deliver : t -> send -> send option
   (** Service a delivered message at [send.dst]: process the visit (or
       bounce a detected revisit), then emit the walk's next message.
-      [None] means the query just completed. *)
+      Under {!run}'s fault plan a forward that cannot land times out
+      instead: the successor is the same forward resent, or, once the
+      retries or the budget are spent, the walk's next message after
+      giving up on [send.dst].  [None] means the query just completed. *)
 
   val outcome : t -> outcome
   (** The outcome so far; final once {!deliver} returned [None]. *)

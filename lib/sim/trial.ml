@@ -536,8 +536,9 @@ let clean_found_baseline (cfg : Config.t) ~trial ~spec =
       ~neighbors:(Network.neighbors setup.network)
       ~seed:cfg.seed ~trial ~nodes:cfg.num_nodes ~protect:[ setup.origin ]
   in
-  drift_content plan setup ~counters:(Message.create ()) ();
-  (query_outcome ~plan cfg setup).Query.found
+  Phase.time "drift" (fun () ->
+      drift_content plan setup ~counters:(Message.create ()) ());
+  Phase.time "query" (fun () -> (query_outcome ~plan cfg setup).Query.found)
 
 let run_query_faulty (cfg : Config.t) ~trial =
   let spec = cfg.fault in
