@@ -208,9 +208,11 @@ let metrics_t =
 let trace_t =
   let doc =
     "Record every query hop, backtrack, stop condition and update hop, and \
-     write the trace to $(docv).  Trace timestamps are deterministic logical \
-     ticks: the same seed produces byte-identical traces at any \
-     $(b,--jobs) width."
+     write the flat view of the event log to $(docv): one line per message \
+     in the order it happened.  $(b,--spans) writes the causal view of the \
+     same recording.  Trace timestamps are deterministic logical ticks: \
+     the same seed produces byte-identical traces at any $(b,--jobs) \
+     width."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
@@ -239,9 +241,10 @@ let spans_t =
   let doc =
     "Record causal spans — a root span per query or update wave \
      parenting per-hop, retry, fallback and per-round children — and \
-     write them to $(docv).  Span ids and timestamps are deterministic \
-     logical ticks, so the output is byte-identical at any $(b,--jobs) \
-     width."
+     write them to $(docv).  This is the causal view of the event log \
+     whose flat view $(b,--trace) writes.  Span ids and timestamps are \
+     deterministic logical ticks, so the output is byte-identical at any \
+     $(b,--jobs) width."
   in
   Arg.(value & opt (some string) None & info [ "spans" ] ~docv:"FILE" ~doc)
 
@@ -307,16 +310,17 @@ let stop_flusher = function
       Atomic.set stop true;
       Domain.join dom
 
-(* Enable recording before the run, export files after.  Metrics go out
-   with the cache/pool gauges refreshed so one file carries the whole
-   picture.  The HTTP server and the periodic flusher are torn down even
-   when the run raises. *)
+(* Enable recording before the run, export files after.  --trace and
+   --spans are two views of one event log, started if either is asked
+   for.  Metrics go out with the cache/pool gauges refreshed so one file
+   carries the whole picture.  The HTTP server and the periodic flusher
+   are torn down even when the run raises. *)
 let with_obs ?(serve = None) ?(spans = None) ?(span_fmt = `Jsonl)
     ?(timeline = None) metrics trace fmt decisions f =
+  let events = trace <> None || spans <> None in
   if metrics <> None || serve <> None then Ri_obs.Metrics.set_enabled true;
-  if trace <> None then Ri_obs.Trace.start ();
+  if events then Ri_obs.Span.start ();
   if decisions <> None then Ri_obs.Decision.start ();
-  if spans <> None then Ri_obs.Span.start ();
   if timeline <> None then Ri_obs.Observatory.start ();
   let server =
     Option.map
@@ -336,13 +340,13 @@ let with_obs ?(serve = None) ?(spans = None) ?(span_fmt = `Jsonl)
         Option.iter Ri_obs.Serve.stop server)
       f
   in
+  if events then Ri_obs.Span.stop ();
   (match trace with
   | None -> ()
   | Some file ->
-      Ri_obs.Trace.stop ();
       (match fmt with
-      | `Jsonl -> Ri_obs.Trace.export_jsonl file
-      | `Chrome -> Ri_obs.Trace.export_chrome file);
+      | `Jsonl -> Ri_obs.Span.export_flat_jsonl file
+      | `Chrome -> Ri_obs.Span.export_flat_chrome file);
       Printf.printf "trace written to %s\n" file);
   (match decisions with
   | None -> ()
@@ -353,7 +357,6 @@ let with_obs ?(serve = None) ?(spans = None) ?(span_fmt = `Jsonl)
   (match spans with
   | None -> ()
   | Some file ->
-      Ri_obs.Span.stop ();
       (match span_fmt with
       | `Jsonl -> Ri_obs.Span.export_jsonl file
       | `Chrome -> Ri_obs.Span.export_chrome file

@@ -197,49 +197,16 @@ let validate_opts opts =
   if opts.o_snapshot <> None && opts.o_trials <> 1 then
     invalid_arg "Traffic: --snapshot fixes the setup, use --trials 1"
 
-let query_hook sink =
-  if not (Trace.is_live sink) then None
-  else
-    Some
-      (function
-      | Query.Forwarded { sender; receiver } ->
-          Trace.emit sink ~cat:"traffic" "forward"
-            [ ("sender", Trace.Int sender); ("receiver", Trace.Int receiver) ]
-      | Query.Returned { sender; receiver } ->
-          Trace.emit sink ~cat:"traffic" "backtrack"
-            [ ("sender", Trace.Int sender); ("receiver", Trace.Int receiver) ]
-      | Query.Results { at; count } ->
-          Trace.emit sink ~cat:"traffic" "results"
-            [ ("at", Trace.Int at); ("count", Trace.Int count) ]
-      | Query.Timed_out _ | Query.Gave_up _ | Query.Reconciled _ ->
-          (* Fault-free machines never emit these. *)
-          ())
-
-let update_hook sink =
-  if not (Trace.is_live sink) then None
-  else
-    Some
-      (function
-      | Update.Delivered { sender; receiver; significant; forwarded } ->
-          Trace.emit sink ~cat:"traffic" "update_hop"
-            [
-              ("sender", Trace.Int sender);
-              ("receiver", Trace.Int receiver);
-              ("significant", Trace.Bool significant);
-              ("forwarded", Trace.Bool forwarded);
-            ]
-      | Update.Dropped _ | Update.Delayed _ | Update.Round _
-      | Update.Repaired _ ->
-          ())
-
 (* One (qps, trial) simulation: build (or load) the converged setup,
    pre-draw the Poisson arrival schedule from trial-keyed substreams,
    run every query as a Step machine whose messages ride the engine's
    mailboxes, and optionally inject update waves as in-flight message
    streams sharing the same mailboxes.  Single-threaded on one engine:
-   the event order is fully determined by (seed, trial, seq). *)
+   the event order is fully determined by (seed, trial, seq).  When the
+   event log is on, each query and each wave is a root span over its
+   messages, through the trial bodies' own hooks. *)
 let simulate (cfg : Config.t) ~opts ~qps ~trial =
-  Trace.with_trial ~trial (fun sink ->
+  Span.with_trial ~trial (fun sink ->
   Observatory.with_trial ~trial (fun osink ->
       let setup =
         match opts.o_snapshot with
@@ -263,8 +230,6 @@ let simulate (cfg : Config.t) ~opts ~qps ~trial =
         Workload.Zipf.create ~exponent:opts.o_zipf
           ~shift_every:opts.o_shift_every setup.Trial.universe
       in
-      let qhook = query_hook sink in
-      let uhook = update_hook sink in
       let horizon_ns = Engine.of_seconds opts.o_duration in
       let sketch = Sketch.create () in
       let decomp = Observatory.decomp_zero () in
@@ -321,8 +286,17 @@ let simulate (cfg : Config.t) ~opts ~qps ~trial =
               let deliveries = ref 1 in
               let crit_wait = ref entry_wait in
               let crit_node = ref origin in
+              let root, on_event =
+                if Span.is_live sink then
+                  let root =
+                    Span.enter sink ~cat:"traffic" "query"
+                      [ ("origin", Span.Int origin) ]
+                  in
+                  (Some root, Trial.query_hook sink ~cat:"traffic" root)
+                else (None, None)
+              in
               let st, first =
-                Query.Step.start ~rng:qrng ?on_event:qhook net ~origin ~query
+                Query.Step.start ~rng:qrng ?on_event net ~origin ~query
                   ~forwarding
               in
               let rec dispatch = function
@@ -354,13 +328,23 @@ let simulate (cfg : Config.t) ~opts ~qps ~trial =
                     let ms = 1000. *. Engine.to_seconds total_ns in
                     Sketch.add sketch ms;
                     Sketch.observe s_latency ms;
-                    if Trace.is_live sink then
-                      Trace.emit sink ~cat:"traffic" "complete"
-                        [
-                          ("origin", Trace.Int origin);
-                          ("found", Trace.Int o.Query.found);
-                          ("latency_ns", Trace.Int (Engine.now eng - at));
-                        ]
+                    (match root with
+                    | Some root ->
+                        Span.point sink ~cat:"traffic" "complete"
+                          [
+                            ("origin", Span.Int origin);
+                            ("found", Span.Int o.Query.found);
+                            ("latency_ns", Span.Int total_ns);
+                          ];
+                        Span.finish sink root
+                          ~args:
+                            [
+                              ("messages", Span.Int (Query.messages o));
+                              ("found", Span.Int o.Query.found);
+                              ("satisfied", Span.Bool o.Query.satisfied);
+                            ]
+                          ()
+                    | None -> ())
                 | Some (s : Query.Step.send) ->
                     Engine.send eng ~dst:s.Query.Step.dst (fun () ->
                         let w = Engine.last_wait_ns eng in
@@ -416,6 +400,28 @@ let simulate (cfg : Config.t) ~opts ~qps ~trial =
           Bytes.set reached origin '\001';
           let wave_id = Network.fresh_wave net in
           let sent = ref 0 in
+          (* Recorded, the wave is one root span over its deliveries,
+             finished once none is left in flight.  Engine-driven waves
+             have no rounds, so the hook's round closer is not needed. *)
+          let wave, on_event =
+            if Span.is_live sink then
+              let root =
+                Span.enter sink ~cat:"traffic" "update_wave"
+                  [ ("origin", Span.Int origin); ("topic", Span.Int topic) ]
+              in
+              (Some (root, ref 0), fst (Trial.update_hook sink ~cat:"traffic" root))
+            else (None, None)
+          in
+          (* Counts [landed] more deliveries; nothing is in flight once
+             every message sent has landed. *)
+          let settle landed =
+            match wave with
+            | Some (root, n) ->
+                n := !n + landed;
+                if !n = !sent then
+                  Span.finish sink root ~args:[ ("messages", Span.Int !sent) ] ()
+            | None -> ()
+          in
           let rec send_seed (seed : Update.wave_seed) =
             if
               Network.has_link net seed.Update.sender seed.Update.receiver
@@ -427,14 +433,17 @@ let simulate (cfg : Config.t) ~opts ~qps ~trial =
               let bytes = Update.wire_cost seed in
               ucounters.Message.update_wire_bytes <-
                 ucounters.Message.update_wire_bytes + bytes;
-              Engine.send eng ~dst:seed.Update.receiver (fun () ->
-                  Update.deliver_one ?on_event:uhook net ~reached ~wave_id
-                    ~forward:send_seed seed)
+              Engine.send eng ~dst:seed.Update.receiver (fun () -> deliver seed)
             end
+          and deliver seed =
+            Update.deliver_one ?on_event net ~reached ~wave_id
+              ~forward:send_seed seed;
+            settle 1
           in
           List.iter send_seed
             (Update.seeds_for_change net ~at:origin ~except:[]
-               ~mutate:(fun () -> Network.set_local_summary net origin summary))
+               ~mutate:(fun () -> Network.set_local_summary net origin summary));
+          settle 0
         in
         let t = ref 0. in
         let more = ref true in
@@ -571,7 +580,6 @@ let measure ?(opts = default_opts) (cfg : Config.t) ~qps =
   (* One observability unit per data point, bumped on the submitting
      domain (the Runner's rule), so trial keys never depend on the pool
      width and traces stay byte-identical at any --jobs. *)
-  Trace.next_unit ();
   Decision.next_unit ();
   Span.next_unit ();
   Observatory.next_unit ();

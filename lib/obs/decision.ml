@@ -1,14 +1,15 @@
 (* Per-hop routing-decision provenance.
 
-   Where {!Trace} records that messages moved, this recorder captures
-   why: at every forwarding step the deciding node's full candidate
-   vector (estimated goodness, ground-truth reachable results, staleness
-   and update-wave lineage per consulted RI row), the oracle-best
-   candidate and the regret of the estimate-driven choice, plus the
-   follow/backtrack/timeout/stop skeleton of the walk.  Records share
-   {!Trace}'s (unit, trial) logical-tick merge rule through {!Keyed_log},
-   so exported bytes are identical at any pool width; recording is off
-   by default and every capture site early-outs on {!is_live}. *)
+   Where the {!Span} event log records that messages moved, this
+   recorder captures why: at every forwarding step the deciding node's
+   full candidate vector (estimated goodness, ground-truth reachable
+   results, staleness and update-wave lineage per consulted RI row), the
+   oracle-best candidate and the regret of the estimate-driven choice,
+   plus the follow/backtrack/timeout/stop skeleton of the walk.  Records
+   share the event log's (unit, trial) logical-tick merge rule through
+   {!Keyed_log}, so exported bytes are identical at any pool width;
+   recording is off by default and every capture site early-outs on
+   {!is_live}. *)
 
 type candidate = {
   peer : int;

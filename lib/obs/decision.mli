@@ -10,10 +10,11 @@
     walk.
 
     Records obey the same [(unit, trial)] logical-tick merge rule as
-    {!Trace} (both instantiate {!Keyed_log}), so Decision output is
-    byte-identical at any [--jobs] width.  Recording is off by default;
-    when off, {!with_trial} hands out {!null} and every capture site is
-    one [is_live] branch, keeping the query hot path unchanged. *)
+    the {!Span} event log (both instantiate {!Keyed_log}), so Decision
+    output is byte-identical at any [--jobs] width.  Recording is off by
+    default; when off, {!with_trial} hands out {!null} and every capture
+    site is one [is_live] branch, keeping the query hot path
+    unchanged. *)
 
 type candidate = {
   peer : int;
@@ -85,12 +86,12 @@ val clear : unit -> unit
 
 val next_unit : unit -> unit
 (** Called by the trial runner before each data point; no-op when not
-    recording.  Independent of {!Trace.next_unit}. *)
+    recording.  Independent of {!Span.next_unit}. *)
 
 val with_trial : trial:int -> (sink -> 'a) -> 'a
 (** Run a trial body with a fresh sink; on exit the buffer merges into
     the store under [(current unit, trial)], same-key calls appending in
-    call order — {!Trace.with_trial}'s exact rule. *)
+    call order — {!Span.with_trial}'s exact rule. *)
 
 val emit : sink -> record -> unit
 (** Buffer one record.  No-op on a dead sink. *)

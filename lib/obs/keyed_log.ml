@@ -1,9 +1,9 @@
 (* The shared merge rule behind every per-trial recorder.
 
-   Determinism contract (identical for traces and decision records):
-   events are buffered in a per-trial sink on whichever domain runs the
-   trial, and completed buffers are merged into a global store keyed by
-   (unit, trial) — [unit] is bumped once per Runner.run, on the
+   Determinism contract (identical for the event log and decision
+   records): events are buffered in a per-trial sink on whichever domain
+   runs the trial, and completed buffers are merged into a global store
+   keyed by (unit, trial) — [unit] is bumped once per Runner.run, on the
    submitting domain, so it is scheduling independent.  Rendering sorts
    by that key and numbers events by their in-trial position, so
    exported bytes are identical whatever the pool width.  Timestamps are
@@ -11,8 +11,9 @@
    and domain to domain (wall-clock profiling belongs in Metrics/Phase).
 
    Each [Make] application owns private state — recording flag, unit
-   counter, store — so Trace and Decision record independently: turning
-   decisions on does not start tracing and vice versa. *)
+   counter, store — so Span and Decision record independently: turning
+   decisions on does not start the event log and vice versa.  [start]
+   only raises the recording flag; collected events stay until [clear]. *)
 
 module Make (E : sig
   type t

@@ -19,7 +19,7 @@
    - [Timeline] + the keyed log: a fixed-bin logical-time ring of
      arrivals / completions / aggregate backlog, buffered per trial and
      merged by (unit, trial) through {!Keyed_log} — the same rule as
-     Trace and Decision — so the JSONL export is byte-identical at any
+     Span and Decision — so the JSONL export is byte-identical at any
      pool width.  Recording is off by default; when off, the only cost
      at a capture site is the sink's [is_live] load and branch. *)
 

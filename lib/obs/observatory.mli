@@ -7,7 +7,7 @@
     stamped in logical nanoseconds and buffered per trial, so every
     rendered artifact is a pure function of [(seed, trial)] — the
     timeline JSONL merges by [(unit, trial)] through {!Keyed_log}
-    exactly like {!Trace} and {!Decision}, and is byte-identical at any
+    exactly like {!Span} and {!Decision}, and is byte-identical at any
     [--jobs] width.  Timeline recording is off by default; when off, a
     capture site costs one [is_live] load and branch.
 

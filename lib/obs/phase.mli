@@ -4,7 +4,7 @@
     registry.
 
     Phase timings are wall clock and therefore {e not} part of the
-    deterministic trace — see {!Trace}. *)
+    deterministic event log — see {!Span}. *)
 
 val time : string -> (unit -> 'a) -> 'a
 (** [time phase f] runs [f], observing its duration under [phase] when

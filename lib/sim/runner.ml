@@ -34,10 +34,10 @@ let run ?pool spec f =
   if spec.min_trials < 1 || spec.max_trials < spec.min_trials then
     invalid_arg "Runner.run: bad trial bounds";
   let pool = match pool with Some p -> p | None -> Pool.global () in
-  (* One trace unit per data point, bumped on the submitting domain, so
-     trial keys never depend on the pool width.  Each recorder keeps its
-     own counter: provenance can be on without tracing and vice versa. *)
-  Trace.next_unit ();
+  (* One unit per data point, bumped on the submitting domain, so trial
+     keys never depend on the pool width.  Each recorder keeps its own
+     counter: provenance can be on without the event log and vice
+     versa. *)
   Decision.next_unit ();
   Span.next_unit ();
   Metrics.incr m_units;

@@ -216,206 +216,144 @@ let query_outcome ?on_event ?decide ?plan (cfg : Config.t) setup =
 let run_query_on ?on_event ?decide ?plan (cfg : Config.t) setup =
   metrics_of_outcome cfg (query_outcome ?on_event ?decide ?plan cfg setup)
 
-(* Tracing hooks: built only when a live sink exists, so the disabled
-   path passes [None] and the p2p layer keeps its no-op default. *)
-let query_hook sink =
-  if not (Trace.is_live sink) then None
+(* The one recorder.  Every p2p event becomes a child span of a root —
+   a query, an update wave, the drift, the recovery phase — so the span
+   view draws the causal tree and the flat [--trace] view lists the
+   children in push order.  Message records carry [cat], fault records
+   "fault".  A hook is only built over a live sink, so the disabled path
+   passes [None] and the p2p layer keeps its no-op default; its mere
+   presence keeps the update wave on the sequential path (the sharded
+   rounds require no observer), so record order is deterministic at any
+   pool width. *)
+let query_hook sink ~cat root =
+  if not (Span.is_live sink) then None
   else
+    let child cat name args =
+      ignore (Span.instant sink ~parent:root ~cat name args)
+    in
     Some
       (function
       | Query.Forwarded { sender; receiver } ->
-          Trace.emit sink ~cat:"query" "forward"
-            [ ("sender", Trace.Int sender); ("receiver", Trace.Int receiver) ]
+          child cat "hop"
+            [ ("sender", Span.Int sender); ("receiver", Span.Int receiver) ]
       | Query.Returned { sender; receiver } ->
-          Trace.emit sink ~cat:"query" "backtrack"
-            [ ("sender", Trace.Int sender); ("receiver", Trace.Int receiver) ]
+          child cat "backtrack"
+            [ ("sender", Span.Int sender); ("receiver", Span.Int receiver) ]
       | Query.Results { at; count } ->
-          Trace.emit sink ~cat:"query" "results"
-            [ ("at", Trace.Int at); ("count", Trace.Int count) ]
+          child cat "results" [ ("at", Span.Int at); ("count", Span.Int count) ]
       | Query.Timed_out { sender; receiver; attempt } ->
-          Trace.emit sink ~cat:"fault" "timeout"
+          child "fault" "retry"
             [
-              ("sender", Trace.Int sender);
-              ("receiver", Trace.Int receiver);
-              ("attempt", Trace.Int attempt);
+              ("sender", Span.Int sender);
+              ("receiver", Span.Int receiver);
+              ("attempt", Span.Int attempt);
             ]
       | Query.Gave_up { sender; receiver } ->
-          Trace.emit sink ~cat:"fault" "gave_up"
-            [ ("sender", Trace.Int sender); ("receiver", Trace.Int receiver) ]
+          child "fault" "gave_up"
+            [ ("sender", Span.Int sender); ("receiver", Span.Int receiver) ]
       | Query.Reconciled { a; b } ->
-          Trace.emit sink ~cat:"fault" "reconcile"
-            [ ("a", Trace.Int a); ("b", Trace.Int b) ])
+          child "fault" "reconcile" [ ("a", Span.Int a); ("b", Span.Int b) ])
 
-let update_hook sink =
-  if not (Trace.is_live sink) then None
-  else
-    Some
-      (function
-      | Update.Delivered { sender; receiver; significant; forwarded } ->
-          Trace.emit sink ~cat:"update" "update_hop"
-            [
-              ("sender", Trace.Int sender);
-              ("receiver", Trace.Int receiver);
-              ("significant", Trace.Bool significant);
-              ("forwarded", Trace.Bool forwarded);
-            ]
-      | Update.Dropped { sender; receiver; dead } ->
-          Trace.emit sink ~cat:"fault" "update_dropped"
-            [
-              ("sender", Trace.Int sender);
-              ("receiver", Trace.Int receiver);
-              ("dead", Trace.Bool dead);
-            ]
-      | Update.Delayed { sender; receiver; rounds } ->
-          Trace.emit sink ~cat:"fault" "update_delayed"
-            [
-              ("sender", Trace.Int sender);
-              ("receiver", Trace.Int receiver);
-              ("rounds", Trace.Int rounds);
-            ]
-      | Update.Round { index; pending } ->
-          Trace.emit sink ~cat:"update" "round"
-            [ ("index", Trace.Int index); ("pending", Trace.Int pending) ]
-      | Update.Repaired { u; v } ->
-          Trace.emit sink ~cat:"fault" "ae_repair"
-            [ ("u", Trace.Int u); ("v", Trace.Int v) ])
-
-(* Span hooks: the causal layer over the same p2p events.  A query root
-   parents point-like hop / backtrack / retry / fallback children; an
-   update root parents one span per message generation, each of which
-   parents its deliveries.  Like the trace hooks they are only built
-   over a live sink, and their mere presence keeps the update wave on
-   the sequential path (the sharded rounds require no observer), so
-   span order is deterministic at any pool width. *)
-let span_query_hook ssink root =
-  if not (Span.is_live ssink) then None
-  else
-    Some
-      (fun e ->
-        ignore
-          (match e with
-          | Query.Forwarded { sender; receiver } ->
-              Span.instant ssink ~parent:root ~cat:"query" "hop"
-                [ ("sender", Span.Int sender); ("receiver", Span.Int receiver) ]
-          | Query.Returned { sender; receiver } ->
-              Span.instant ssink ~parent:root ~cat:"query" "backtrack"
-                [ ("sender", Span.Int sender); ("receiver", Span.Int receiver) ]
-          | Query.Results { at; count } ->
-              Span.instant ssink ~parent:root ~cat:"query" "results"
-                [ ("at", Span.Int at); ("count", Span.Int count) ]
-          | Query.Timed_out { sender; receiver; attempt } ->
-              Span.instant ssink ~parent:root ~cat:"fault" "retry"
-                [
-                  ("sender", Span.Int sender);
-                  ("receiver", Span.Int receiver);
-                  ("attempt", Span.Int attempt);
-                ]
-          | Query.Gave_up { sender; receiver } ->
-              Span.instant ssink ~parent:root ~cat:"fault" "gave_up"
-                [ ("sender", Span.Int sender); ("receiver", Span.Int receiver) ]
-          | Query.Reconciled { a; b } ->
-              Span.instant ssink ~parent:root ~cat:"fault" "reconcile"
-                [ ("a", Span.Int a); ("b", Span.Int b) ]))
-
-(* Returns the handler plus a closer for the trailing round span (the
-   wave just stops; no event marks the end of the last generation). *)
-let span_update_hook ssink root =
-  if not (Span.is_live ssink) then (None, fun () -> ())
+(* A round span per message generation parents that generation's
+   records (the root parents any that precede the first round).
+   Returns the handler plus a closer for the trailing round span: the
+   wave just stops, no event marks the end of its last generation. *)
+let update_hook sink ~cat root =
+  if not (Span.is_live sink) then (None, ignore)
   else begin
     let round = ref None in
     let close_round () =
-      match !round with
-      | Some sp ->
-          Span.finish ssink sp ();
-          round := None
-      | None -> ()
+      Option.iter (fun sp -> Span.finish sink sp ()) !round;
+      round := None
     in
-    let handler e =
-      ignore
-        (match e with
-        | Update.Round { index; pending } ->
-            close_round ();
-            let sp =
-              Span.enter ssink ~parent:root ~cat:"update" "round"
-                [ ("index", Span.Int index); ("pending", Span.Int pending) ]
-            in
-            round := Some sp;
-            sp
-        | Update.Delivered { sender; receiver; significant; forwarded } ->
-            Span.instant ssink ?parent:!round ~cat:"update" "deliver"
-              [
-                ("sender", Span.Int sender);
-                ("receiver", Span.Int receiver);
-                ("significant", Span.Bool significant);
-                ("forwarded", Span.Bool forwarded);
-              ]
-        | Update.Dropped { sender; receiver; dead } ->
-            Span.instant ssink ?parent:!round ~cat:"fault" "drop"
-              [
-                ("sender", Span.Int sender);
-                ("receiver", Span.Int receiver);
-                ("dead", Span.Bool dead);
-              ]
-        | Update.Delayed { sender; receiver; rounds } ->
-            Span.instant ssink ?parent:!round ~cat:"fault" "delay"
-              [
-                ("sender", Span.Int sender);
-                ("receiver", Span.Int receiver);
-                ("rounds", Span.Int rounds);
-              ]
-        | Update.Repaired { u; v } ->
-            Span.instant ssink ?parent:!round ~cat:"fault" "ae_repair"
-              [ ("u", Span.Int u); ("v", Span.Int v) ])
+    let child cat name args =
+      let parent = Option.value !round ~default:root in
+      ignore (Span.instant sink ~parent ~cat name args)
+    in
+    let handler = function
+      | Update.Round { index; pending } ->
+          close_round ();
+          round :=
+            Some
+              (Span.enter sink ~parent:root ~cat "round"
+                 [ ("index", Span.Int index); ("pending", Span.Int pending) ])
+      | Update.Delivered { sender; receiver; significant; forwarded } ->
+          child cat "deliver"
+            [
+              ("sender", Span.Int sender);
+              ("receiver", Span.Int receiver);
+              ("significant", Span.Bool significant);
+              ("forwarded", Span.Bool forwarded);
+            ]
+      | Update.Dropped { sender; receiver; dead } ->
+          child "fault" "drop"
+            [
+              ("sender", Span.Int sender);
+              ("receiver", Span.Int receiver);
+              ("dead", Span.Bool dead);
+            ]
+      | Update.Delayed { sender; receiver; rounds } ->
+          child "fault" "delay"
+            [
+              ("sender", Span.Int sender);
+              ("receiver", Span.Int receiver);
+              ("rounds", Span.Int rounds);
+            ]
+      | Update.Repaired { u; v } ->
+          child "fault" "ae_repair" [ ("u", Span.Int u); ("v", Span.Int v) ]
     in
     (Some handler, close_round)
   end
 
-let compose_hooks f g =
-  match (f, g) with
-  | None, h | h, None -> h
-  | Some f, Some g -> Some (fun e -> f e; g e)
-
-let emit_stop sink (m : query_metrics) =
-  if Trace.is_live sink then
-    Trace.emit sink ~cat:"query" "stop"
+(* One recorded query walk: a root span over the walk's records, stamped
+   with the outcome at finish.  [stop] adds the flat view's stop line. *)
+let recorded_query sink ~stop (cfg : Config.t) setup walk =
+  let root =
+    Span.enter sink ~cat:"query" "query" [ ("origin", Span.Int setup.origin) ]
+  in
+  let o, m =
+    Phase.time "query" (fun () ->
+        let o = walk (query_hook sink ~cat:"query" root) in
+        (o, metrics_of_outcome cfg o))
+  in
+  if stop && Span.is_live sink then
+    Span.point sink ~cat:"query" "stop"
       [
-        ( "reason",
-          Trace.Str (if m.satisfied then "satisfied" else "exhausted") );
-        ("found", Trace.Int m.found);
-        ("messages", Trace.Int m.messages);
-        ("nodes_visited", Trace.Int m.nodes_visited);
+        ("reason", Span.Str (if m.satisfied then "satisfied" else "exhausted"));
+        ("found", Span.Int m.found);
+        ("messages", Span.Int m.messages);
+        ("nodes_visited", Span.Int m.nodes_visited);
+      ];
+  Span.finish sink root
+    ~args:
+      [
+        ("messages", Span.Int m.messages);
+        ("found", Span.Int m.found);
+        ("satisfied", Span.Bool m.satisfied);
       ]
+    ();
+  (o, m)
 
-(* Both recorders wrap the trial body: each hands out its own sink
-   (null when that recorder is off), and each merges under the same
-   (unit, trial) key, so trace and decision output stay independently
+(* One recorded update phase: a root span over the records of every
+   wave [f] starts, stamped by [args_of] at finish. *)
+let recorded_update sink ~cat name args ~args_of f =
+  let root = Span.enter sink ~cat name args in
+  let on_event, close_round = update_hook sink ~cat:"update" root in
+  let r = f on_event in
+  close_round ();
+  Span.finish sink root ~args:(args_of r) ();
+  r
+
+(* Decision and the span log each wrap the trial body: each hands out
+   its own sink (null when that recorder is off) and merges under the
+   same (unit, trial) key, so both outputs stay independently
    byte-deterministic at any pool width. *)
 let traced_query (cfg : Config.t) ~trial setup =
-  Trace.with_trial ~trial (fun sink ->
-      Decision.with_trial ~trial (fun decide ->
-          Span.with_trial ~trial (fun ssink ->
-              let root =
-                Span.enter ssink ~cat:"query" "query"
-                  [ ("origin", Span.Int setup.origin) ]
-              in
-              let m =
-                Phase.time "query" (fun () ->
-                    run_query_on
-                      ?on_event:
-                        (compose_hooks (query_hook sink)
-                           (span_query_hook ssink root))
-                      ~decide cfg setup)
-              in
-              emit_stop sink m;
-              Span.finish ssink root
-                ~args:
-                  [
-                    ("messages", Span.Int m.messages);
-                    ("found", Span.Int m.found);
-                    ("satisfied", Span.Bool m.satisfied);
-                  ]
-                ();
-              m)))
+  Decision.with_trial ~trial (fun decide ->
+      Span.with_trial ~trial (fun sink ->
+          snd
+            (recorded_query sink ~stop:true cfg setup (fun on_event ->
+                 query_outcome ?on_event ~decide cfg setup))))
 
 let run_query cfg ~trial =
   traced_query cfg ~trial (build ~purpose:For_query cfg ~trial)
@@ -511,6 +449,16 @@ let drift_content plan setup ~counters ?on_event () =
     done
   end
 
+(* The drift as one recorded update phase; returns its counters. *)
+let recorded_drift sink plan setup =
+  let counters = Message.create () in
+  Phase.time "drift" (fun () ->
+      recorded_update sink ~cat:"update" "drift" []
+        ~args_of:(fun () ->
+          [ ("messages", Span.Int counters.Message.update_messages) ])
+        (fun on_event -> drift_content plan setup ~counters ?on_event ()));
+  counters
+
 (* The paired clean baseline — recall's denominator — replays the same
    build, the same content drift and the same query budget as a faulty
    trial with every fault rate at zero: its corrective waves all
@@ -548,9 +496,8 @@ let run_query_faulty (cfg : Config.t) ~trial =
      waves must be able to reach the rows that guide routing from the
      origin, which the rooted (downstream-only) build cannot express. *)
   let clean_found = clean_found_baseline cfg ~trial ~spec in
-  Trace.with_trial ~trial (fun sink ->
-      Decision.with_trial ~trial (fun decide ->
-      Span.with_trial ~trial (fun ssink ->
+  Decision.with_trial ~trial (fun decide ->
+      Span.with_trial ~trial (fun sink ->
       let setup =
         build ~purpose:For_update ~mutable_placement:(spec.Fault.drift > 0.)
           cfg ~trial
@@ -560,38 +507,11 @@ let run_query_faulty (cfg : Config.t) ~trial =
           ~neighbors:(Network.neighbors setup.network)
           ~seed:cfg.seed ~trial ~nodes:cfg.num_nodes ~protect:[ setup.origin ]
       in
-      let drift_counters = Message.create () in
-      Phase.time "drift" (fun () ->
-          let droot = Span.enter ssink ~cat:"update" "drift" [] in
-          let shook, close_round = span_update_hook ssink droot in
-          drift_content plan setup ~counters:drift_counters
-            ?on_event:(compose_hooks (update_hook sink) shook) ();
-          close_round ();
-          Span.finish ssink droot
-            ~args:
-              [ ("messages", Span.Int drift_counters.Message.update_messages) ]
-            ());
-      let qroot =
-        Span.enter ssink ~cat:"query" "query"
-          [ ("origin", Span.Int setup.origin) ]
+      let drift_counters = recorded_drift sink plan setup in
+      let outcome, m =
+        recorded_query sink ~stop:true cfg setup (fun on_event ->
+            query_outcome ?on_event ~decide ~plan cfg setup)
       in
-      let outcome =
-        Phase.time "query" (fun () ->
-            query_outcome
-              ?on_event:
-                (compose_hooks (query_hook sink) (span_query_hook ssink qroot))
-              ~decide ~plan cfg setup)
-      in
-      let m = metrics_of_outcome cfg outcome in
-      emit_stop sink m;
-      Span.finish ssink qroot
-        ~args:
-          [
-            ("messages", Span.Int m.messages);
-            ("found", Span.Int m.found);
-            ("satisfied", Span.Bool m.satisfied);
-          ]
-        ();
       let repair_messages = outcome.Query.counters.Message.update_messages in
       {
         f_query = m;
@@ -605,7 +525,7 @@ let run_query_faulty (cfg : Config.t) ~trial =
           float_of_int (m.messages + repair_messages)
           /. float_of_int (max 1 m.found);
         f_stats = Fault.stats plan;
-      })))
+      }))
 
 type parallel_metrics = {
   par_messages : int;
@@ -620,37 +540,34 @@ let run_query_parallel (cfg : Config.t) ~branch ~trial =
   | Config.No_ri | Config.Flooding _ ->
       invalid_arg "Trial.run_query_parallel: needs an RI search mechanism");
   let setup = build ~purpose:For_query cfg ~trial in
-  Trace.with_trial ~trial (fun sink ->
-      Span.with_trial ~trial (fun ssink ->
-          let root =
-            Span.enter ssink ~cat:"query" "query_parallel"
-              [ ("origin", Span.Int setup.origin); ("branch", Span.Int branch) ]
-          in
-          let o =
-            Phase.time "query" (fun () ->
-                Query.run_parallel
-                  ?on_event:
-                    (compose_hooks (query_hook sink)
-                       (span_query_hook ssink root))
-                  setup.network ~origin:setup.origin ~query:setup.query ~branch)
-          in
-          let m =
-            {
-              par_messages = Message.query_messages o.Query.p_counters;
-              par_rounds = o.Query.p_rounds;
-              par_found = o.Query.p_found;
-              par_satisfied = o.Query.p_satisfied;
-            }
-          in
-          Span.finish ssink root
-            ~args:
-              [
-                ("messages", Span.Int m.par_messages);
-                ("rounds", Span.Int m.par_rounds);
-                ("found", Span.Int m.par_found);
-              ]
-            ();
-          m))
+  Span.with_trial ~trial (fun sink ->
+      let root =
+        Span.enter sink ~cat:"query" "query_parallel"
+          [ ("origin", Span.Int setup.origin); ("branch", Span.Int branch) ]
+      in
+      let o =
+        Phase.time "query" (fun () ->
+            Query.run_parallel
+              ?on_event:(query_hook sink ~cat:"query" root)
+              setup.network ~origin:setup.origin ~query:setup.query ~branch)
+      in
+      let m =
+        {
+          par_messages = Message.query_messages o.Query.p_counters;
+          par_rounds = o.Query.p_rounds;
+          par_found = o.Query.p_found;
+          par_satisfied = o.Query.p_satisfied;
+        }
+      in
+      Span.finish sink root
+        ~args:
+          [
+            ("messages", Span.Int m.par_messages);
+            ("rounds", Span.Int m.par_rounds);
+            ("found", Span.Int m.par_found);
+          ]
+        ();
+      m)
 
 type update_metrics = {
   update_messages : int;
@@ -712,28 +629,16 @@ let run_update (cfg : Config.t) ~trial =
            ~protect:[ setup.origin ])
     else None
   in
-  Trace.with_trial ~trial (fun sink ->
-      Span.with_trial ~trial (fun ssink ->
-          Phase.time "update" (fun () ->
-              let root =
-                Span.enter ssink ~cat:"update" "update_wave"
-                  [ ("origin", Span.Int setup.origin) ]
-              in
-              let shook, close_round = span_update_hook ssink root in
-              let m =
-                run_update_on
-                  ?on_event:(compose_hooks (update_hook sink) shook)
-                  ?plan cfg setup
-              in
-              close_round ();
-              Span.finish ssink root
-                ~args:
-                  [
-                    ("messages", Span.Int m.update_messages);
-                    ("wire_bytes", Span.Int m.update_wire_bytes);
-                  ]
-                ();
-              m)))
+  Span.with_trial ~trial (fun sink ->
+      Phase.time "update" (fun () ->
+          recorded_update sink ~cat:"update" "update_wave"
+            [ ("origin", Span.Int setup.origin) ]
+            ~args_of:(fun m ->
+              [
+                ("messages", Span.Int m.update_messages);
+                ("wire_bytes", Span.Int m.update_wire_bytes);
+              ])
+            (fun on_event -> run_update_on ?on_event ?plan cfg setup)))
 
 (* ------------------------------------------------------------------ *)
 (* Recovery trials: damage, dip, heal, reconverge.                     *)
@@ -766,9 +671,8 @@ let run_recovery (cfg : Config.t) ~trial =
   | Config.No_ri | Config.Flooding _ ->
       invalid_arg "Trial.run_recovery: needs an RI search mechanism");
   let clean_found = clean_found_baseline cfg ~trial ~spec in
-  Trace.with_trial ~trial (fun sink ->
-      Decision.with_trial ~trial (fun decide ->
-      Span.with_trial ~trial (fun ssink ->
+  Decision.with_trial ~trial (fun decide ->
+      Span.with_trial ~trial (fun sink ->
       let setup =
         build ~purpose:For_update ~mutable_placement:(spec.Fault.drift > 0.)
           cfg ~trial
@@ -788,64 +692,58 @@ let run_recovery (cfg : Config.t) ~trial =
         if Fault.is_dead plan v && v land 1 = 1 then
           Hashtbl.replace images v (Churn.persist_rows setup.network v)
       done;
-      let drift_counters = Message.create () in
-      Phase.time "drift" (fun () ->
-          drift_content plan setup ~counters:drift_counters
-            ?on_event:(update_hook sink) ());
+      ignore (recorded_drift sink plan setup);
+      (* The dip and the restored query add no stop line: the flat view
+         of a recovery trial lists messages only. *)
+      let query () =
+        snd
+          (recorded_query sink ~stop:false cfg setup (fun on_event ->
+               query_outcome ?on_event ~decide ~plan cfg setup))
+      in
       (* The dip: query the damaged network — victims silent, the cut
          severing forwards, stale rows misrouting. *)
-      let dip =
-        Phase.time "query" (fun () ->
-            run_query_on ?on_event:(query_hook sink) ~decide ~plan cfg setup)
-      in
+      let dip = query () in
       let recovery_counters = Message.create () in
       let recovered = ref 0 in
       let rounds = ref 0 in
       let repairs = ref 0 in
       Phase.time "recovery" (fun () ->
-          let root = Span.enter ssink ~cat:"fault" "recovery" [] in
-          let shook, close_round = span_update_hook ssink root in
-          let on_event = compose_hooks (update_hook sink) shook in
-          (* Heal the cut and stop the weather first: reconvergence is
-             then a property of the repair machinery alone, not of how
-             lucky the re-announcement waves get. *)
-          Fault.heal_partition plan;
-          Fault.quiesce plan;
-          for v = 0 to n - 1 do
-            if Fault.is_dead plan v then begin
-              let rejoin =
-                match Hashtbl.find_opt images v with
-                | Some bytes -> Churn.Stale_state bytes
-                | None -> Churn.Amnesiac
-              in
-              Churn.recover ?on_event setup.network v ~rejoin ~plan
-                ~counters:recovery_counters;
-              incr recovered
-            end
-          done;
-          let continue = ref true in
-          while !continue && !rounds < ae_round_cap do
-            let r =
-              Update.anti_entropy ?on_event ~plan setup.network
-                ~counters:recovery_counters
-            in
-            incr rounds;
-            repairs := !repairs + r;
-            if r = 0 then continue := false
-          done;
-          close_round ();
-          Span.finish ssink root
-            ~args:
+          recorded_update sink ~cat:"fault" "recovery" []
+            ~args_of:(fun () ->
               [
                 ("recovered", Span.Int !recovered);
                 ("ae_rounds", Span.Int !rounds);
                 ("ae_repairs", Span.Int !repairs);
-              ]
-            ());
-      let restored =
-        Phase.time "query" (fun () ->
-            run_query_on ?on_event:(query_hook sink) ~decide ~plan cfg setup)
-      in
+              ])
+            (fun on_event ->
+              (* Heal the cut and stop the weather first: reconvergence is
+                 then a property of the repair machinery alone, not of how
+                 lucky the re-announcement waves get. *)
+              Fault.heal_partition plan;
+              Fault.quiesce plan;
+              for v = 0 to n - 1 do
+                if Fault.is_dead plan v then begin
+                  let rejoin =
+                    match Hashtbl.find_opt images v with
+                    | Some bytes -> Churn.Stale_state bytes
+                    | None -> Churn.Amnesiac
+                  in
+                  Churn.recover ?on_event setup.network v ~rejoin ~plan
+                    ~counters:recovery_counters;
+                  incr recovered
+                end
+              done;
+              let continue = ref true in
+              while !continue && !rounds < ae_round_cap do
+                let r =
+                  Update.anti_entropy ?on_event ~plan setup.network
+                    ~counters:recovery_counters
+                in
+                incr rounds;
+                repairs := !repairs + r;
+                if r = 0 then continue := false
+              done));
+      let restored = query () in
       let recall found =
         if clean_found = 0 then 1.
         else float_of_int found /. float_of_int clean_found
@@ -862,4 +760,4 @@ let run_recovery (cfg : Config.t) ~trial =
         r_ae_repairs = !repairs;
         r_recovery_messages = recovery_counters.Message.update_messages;
         r_stats = Fault.stats plan;
-      })))
+      }))

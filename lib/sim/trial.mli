@@ -69,11 +69,32 @@ val run_query_on :
 (** Run the configured search on an existing setup (lets one setup be
     shared across search mechanisms for paired comparisons).
     [on_event] observes every query message; {!run_query} wires it to
-    the {!Ri_obs.Trace} recorder when tracing is on.  [decide] receives
+    {!query_hook} when the event log is on.  [decide] receives
     per-hop routing-decision provenance (see {!Ri_p2p.Query.run}; the
     sink is not passed to flooding, which makes no routing decisions).
     [plan] runs the query in a fault environment (see
     {!Ri_p2p.Fault}). *)
+
+val query_hook :
+  Ri_obs.Span.sink ->
+  cat:string ->
+  Ri_obs.Span.span ->
+  (Ri_p2p.Query.event -> unit) option
+(** [query_hook sink ~cat root] records each query message as a child
+    span of [root]: [hop], [backtrack] and [results] under [cat];
+    [retry], [gave_up] and [reconcile] under ["fault"].  [None] over a
+    dead sink, so an unrecorded walk passes no observer at all. *)
+
+val update_hook :
+  Ri_obs.Span.sink ->
+  cat:string ->
+  Ri_obs.Span.span ->
+  (Ri_p2p.Update.event -> unit) option * (unit -> unit)
+(** [update_hook sink ~cat root] records each wave round as a child span
+    of [root] and each delivery ([deliver] under [cat]; [drop], [delay]
+    and [ae_repair] under ["fault"]) as a child of the open round, or of
+    [root] before the first round.  The second component closes the
+    trailing round span; call it once the waves are done. *)
 
 val run_query_perturbed :
   Config.t ->

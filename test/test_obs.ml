@@ -125,9 +125,9 @@ let test_env_int_range () =
 let small = Config.scaled Config.base ~num_nodes:300
 
 let trace_run jobs =
-  Trace.clear ();
-  Trace.start ();
-  Fun.protect ~finally:Trace.stop (fun () ->
+  Span.clear ();
+  Span.start ();
+  Fun.protect ~finally:Span.stop (fun () ->
       let spec =
         { Runner.min_trials = 3; max_trials = 6; target_rel_error = 0.05 }
       in
@@ -140,9 +140,9 @@ let trace_run jobs =
             (Runner.run ~pool spec (fun ~trial ->
                  float_of_int
                    (Trial.run_update cfg ~trial).Trial.update_messages))));
-  let jsonl = Trace.render_jsonl () in
-  let chrome = Trace.render_chrome () in
-  Trace.clear ();
+  let jsonl = Span.render_flat_jsonl () in
+  let chrome = Span.render_flat_chrome () in
+  Span.clear ();
   (jsonl, chrome)
 
 let test_trace_bit_identical () =
@@ -162,9 +162,9 @@ let test_trace_bit_identical () =
    draws from its own (seed, trial)-derived generator, so drops,
    timeouts and repairs land identically whatever the pool width. *)
 let faulty_trace_run jobs =
-  Trace.clear ();
-  Trace.start ();
-  Fun.protect ~finally:Trace.stop (fun () ->
+  Span.clear ();
+  Span.start ();
+  Fun.protect ~finally:Span.stop (fun () ->
       let spec =
         { Runner.min_trials = 3; max_trials = 6; target_rel_error = 0.05 }
       in
@@ -188,8 +188,8 @@ let faulty_trace_run jobs =
           ignore
             (Runner.run ~pool spec (fun ~trial ->
                  (Trial.run_query_faulty cfg ~trial).Trial.f_messages_per_result))));
-  let jsonl = Trace.render_jsonl () in
-  Trace.clear ();
+  let jsonl = Span.render_flat_jsonl () in
+  Span.clear ();
   jsonl
 
 let test_faulty_trace_bit_identical () =
@@ -208,10 +208,10 @@ let test_chrome_shape () =
     (Astring.String.is_suffix ~affix:"\"displayTimeUnit\":\"ms\"}\n" chrome)
 
 let test_trace_off_collects_nothing () =
-  Alcotest.(check bool) "not recording" false (Trace.recording ());
+  Alcotest.(check bool) "not recording" false (Span.recording ());
   let cfg = Config.with_search small (Config.Ri (Config.eri small)) in
   ignore (Trial.run_query cfg ~trial:0);
-  Alcotest.(check string) "no events" "" (Trace.render_jsonl ())
+  Alcotest.(check string) "no events" "" (Span.render_flat_jsonl ())
 
 (* Emitted artifacts must satisfy the strict JSON parser — a malformed
    export is a failure here, not a quirk tolerated downstream. *)
@@ -406,6 +406,163 @@ let test_span_off_collects_nothing () =
   let cfg = Config.with_search small (Config.Ri (Config.eri small)) in
   ignore (Trial.run_query cfg ~trial:0);
   Alcotest.(check string) "no spans" "" (Span.render_jsonl ())
+
+(* [start] only raises the recording flag: a stop/start cycle keeps the
+   first batch, and only [clear] drops it. *)
+let test_span_restart_keeps () =
+  Span.clear ();
+  let record trial =
+    Span.start ();
+    Fun.protect ~finally:Span.stop (fun () ->
+        Span.with_trial ~trial (fun sink ->
+            ignore (Span.instant sink "mark" [ ("trial", Span.Int trial) ])))
+  in
+  record 0;
+  record 1;
+  let kept =
+    List.map (fun ((_, trial), rs) -> (trial, List.length rs)) (Span.spans ())
+  in
+  Span.clear ();
+  Alcotest.(check (list (pair int int))) "both batches kept" [ (0, 1); (1, 1) ] kept;
+  Alcotest.(check int) "clear drops them" 0 (List.length (Span.spans ()))
+
+(* One record per message, in every trial body.  Each non-root span kind
+   has exactly as many records as its flat line, each stop/complete line
+   closes one query root, and the flat view holds nothing else.  On the
+   fault-free bodies the flat message lines also agree with the trial's
+   own counters; the [`Spans] rows pin the root spans each body opens. *)
+let flat_name_of_kind =
+  [
+    ("hop", "forward"); ("backtrack", "backtrack"); ("results", "results");
+    ("retry", "timeout"); ("gave_up", "gave_up"); ("reconcile", "reconcile");
+    ("round", "round"); ("deliver", "update_hop"); ("drop", "update_dropped");
+    ("delay", "update_delayed"); ("ae_repair", "ae_repair");
+  ]
+
+let test_one_record_per_message () =
+  let cfg = Config.with_search small (Config.Ri (Config.eri small)) in
+  let faulty =
+    {
+      cfg with
+      Config.fault =
+        {
+          Ri_p2p.Fault.none with
+          Ri_p2p.Fault.update_loss = 0.2;
+          update_delay = 0.1;
+          delay_waves = 2;
+          crash = 0.08;
+          link_flap = 0.02;
+          drift = 0.75;
+          partition = 0.3;
+          stale_after = Some 1;
+          retries = 2;
+          backoff = 1;
+        };
+    }
+  in
+  let trials f = List.init 2 (fun trial -> f ~trial) in
+  let sum f xs = List.fold_left (fun acc x -> acc + f x) 0 xs in
+  let walk = [ "forward"; "backtrack"; "results" ] in
+  let query_lines ms =
+    [
+      (`Spans, [ "query" ], 2);
+      (`Flat, [ "forward" ], sum (fun m -> m.Trial.forwards) ms);
+      (`Flat, [ "backtrack" ], sum (fun m -> m.Trial.returns) ms);
+      (`Flat, [ "results" ], sum (fun m -> m.Trial.results) ms);
+    ]
+  in
+  let traffic () =
+    let opts =
+      {
+        Ri_experiments.Traffic.default_opts with
+        Ri_experiments.Traffic.o_duration = 0.05;
+        o_service_rate = 5000.;
+        o_update_rate = 40.;
+      }
+    in
+    let rs = trials (Ri_experiments.Traffic.simulate cfg ~opts ~qps:400.) in
+    Ri_experiments.Traffic.
+      [
+        (`Spans, [ "query" ], sum (fun r -> r.r_completed) rs);
+        (`Flat, walk, sum (fun r -> r.r_messages) rs);
+        (`Flat, [ "update_hop" ], sum (fun r -> r.r_update_messages) rs);
+      ]
+  in
+  let bodies =
+    [
+      ("query", [ "stop" ], fun () -> query_lines (trials (Trial.run_query cfg)));
+      ( "perturbed",
+        [ "stop" ],
+        fun () ->
+          query_lines
+            (trials
+               (Trial.run_query_perturbed cfg ~relative_stddev:0.3
+                  ~kind:Ri_content.Compression.Mixed)) );
+      ( "parallel",
+        [],
+        fun () ->
+          let ms = trials (Trial.run_query_parallel cfg ~branch:2) in
+          [
+            (`Spans, [ "query_parallel" ], 2);
+            (`Flat, walk, sum (fun m -> m.Trial.par_messages) ms);
+          ] );
+      ( "faulty",
+        [ "stop" ],
+        fun () ->
+          ignore (trials (Trial.run_query_faulty faulty));
+          [ (`Spans, [ "drift" ], 2); (`Spans, [ "query" ], 2) ] );
+      ( "update",
+        [],
+        fun () ->
+          let ms = trials (Trial.run_update cfg) in
+          [
+            (`Spans, [ "update_wave" ], 2);
+            (`Flat, [ "update_hop" ], sum (fun m -> m.Trial.update_messages) ms);
+          ] );
+      ( "recovery",
+        [],
+        fun () ->
+          ignore (trials (Trial.run_recovery faulty));
+          [
+            (`Spans, [ "drift" ], 2);
+            (`Spans, [ "query" ], 4);
+            (`Spans, [ "recovery" ], 2);
+          ] );
+      ("traffic", [ "complete" ], traffic);
+    ]
+  in
+  List.iter
+    (fun (body, point_lines, run) ->
+      Span.clear ();
+      Span.start ();
+      let expected = Fun.protect ~finally:Span.stop run in
+      let spans = List.concat_map snd (Span.spans ()) in
+      let flat = List.concat_map snd (Span.flat_events ()) in
+      Span.clear ();
+      let count_spans name =
+        List.length (List.filter (fun r -> r.Span.name = name) spans)
+      in
+      let count_flat name =
+        List.length (List.filter (fun f -> f.Span.f_name = name) flat)
+      in
+      let check what n m = Alcotest.(check int) (body ^ ": " ^ what) n m in
+      check "records" 1 (min 1 (List.length flat));
+      List.iter
+        (fun (kind, line) ->
+          check (kind ^ " = " ^ line) (count_spans kind) (count_flat line))
+        flat_name_of_kind;
+      List.iter
+        (fun line -> check ("query roots = " ^ line) (count_spans "query") (count_flat line))
+        point_lines;
+      check "flat view holds nothing else" (List.length flat)
+        (sum (fun (_, line) -> count_flat line) flat_name_of_kind
+        + sum count_flat point_lines);
+      List.iter
+        (fun (view, names, n) ->
+          let count = match view with `Spans -> count_spans | `Flat -> count_flat in
+          check (String.concat "+" names) n (sum count names))
+        expected)
+    bodies
 
 (* ------------------------------------------------------------------ *)
 (* Registry domain-safety: concurrent registration and recording from  *)
@@ -701,6 +858,10 @@ let suite =
         test_span_causality;
       Alcotest.test_case "no spans without start" `Quick
         test_span_off_collects_nothing;
+      Alcotest.test_case "span restart keeps earlier spans" `Quick
+        test_span_restart_keeps;
+      Alcotest.test_case "one record per message in every trial body" `Quick
+        test_one_record_per_message;
       Alcotest.test_case "racing registration across domains" `Quick
         test_racing_registration;
       Alcotest.test_case "gcprof wrap accumulates" `Quick test_gcprof_wrap;

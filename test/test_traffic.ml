@@ -363,14 +363,14 @@ let traffic_trace_run jobs =
   Fun.protect
     ~finally:(fun () -> Pool.set_global_jobs prev)
     (fun () ->
-      Trace.clear ();
-      Trace.start ();
+      Span.clear ();
+      Span.start ();
       let points =
-        Fun.protect ~finally:Trace.stop (fun () ->
+        Fun.protect ~finally:Span.stop (fun () ->
             Traffic.sweep ~opts:fast_opts eri_cfg ())
       in
-      let jsonl = Trace.render_jsonl () in
-      Trace.clear ();
+      let jsonl = Span.render_flat_jsonl () in
+      Span.clear ();
       (points, jsonl))
 
 let test_traffic_trace_bit_identical () =
@@ -388,6 +388,85 @@ let test_traffic_trace_bit_identical () =
   Alcotest.(check string) "points identical at jobs 1 vs 4"
     (Traffic.json_of ~opts:fast_opts points1)
     (Traffic.json_of ~opts:fast_opts points4)
+
+(* The traffic plane records into the same event log as the trial
+   bodies: the span export is non-empty and byte-identical at any pool
+   width, every completed query is one root span, and each query or
+   wave root parents exactly its own messages (its [messages] argument)
+   and closes no earlier than the last of them. *)
+let traffic_span_run jobs =
+  let prev = Pool.jobs (Pool.global ()) in
+  Pool.set_global_jobs jobs;
+  Fun.protect
+    ~finally:(fun () -> Pool.set_global_jobs prev)
+    (fun () ->
+      Span.clear ();
+      Span.start ();
+      let points =
+        Fun.protect ~finally:Span.stop (fun () ->
+            Traffic.sweep ~opts:fast_opts eri_cfg ())
+      in
+      let jsonl = Span.render_jsonl () in
+      let groups = Span.spans () in
+      Span.clear ();
+      (points, jsonl, groups))
+
+let test_traffic_spans () =
+  let points, jsonl1, groups = traffic_span_run 1 in
+  let _, jsonl4, _ = traffic_span_run 4 in
+  Alcotest.(check bool) "span export not empty" true (jsonl1 <> "");
+  Alcotest.(check string) "spans byte-identical at jobs 1 vs 4" jsonl1 jsonl4;
+  let queries = ref 0 and waves = ref 0 in
+  List.iter
+    (fun (_, rs) ->
+      let by_sid = Hashtbl.create 1024 in
+      List.iter (fun r -> Hashtbl.replace by_sid r.Span.sid r) rs;
+      (* root sid -> (children, latest child tick) *)
+      let children = Hashtbl.create 1024 in
+      List.iter
+        (fun r ->
+          let root_name =
+            match r.Span.name with
+            | "hop" | "backtrack" | "results" -> Some "query"
+            | "deliver" -> Some "update_wave"
+            | _ -> None
+          in
+          match root_name with
+          | Some name ->
+              let parent =
+                Option.fold ~none:"" ~some:(fun p -> p.Span.name)
+                  (Hashtbl.find_opt by_sid r.Span.parent)
+              in
+              Alcotest.(check string) (r.Span.name ^ " parent") name parent;
+              let n, _ =
+                Option.value ~default:(0, 0) (Hashtbl.find_opt children r.Span.parent)
+              in
+              Hashtbl.replace children r.Span.parent (n + 1, r.Span.t1)
+          | None -> ())
+        rs;
+      List.iter
+        (fun r ->
+          if r.Span.name = "query" || r.Span.name = "update_wave" then begin
+            if r.Span.name = "query" then incr queries else incr waves;
+            Alcotest.(check int) "a root" (-1) r.Span.parent;
+            let messages =
+              match List.assoc_opt "messages" r.Span.args with
+              | Some (Span.Int n) -> n
+              | _ -> -1
+            in
+            let n, last =
+              Option.value ~default:(0, 0) (Hashtbl.find_opt children r.Span.sid)
+            in
+            Alcotest.(check int) (r.Span.name ^ " parents its own messages") messages n;
+            Alcotest.(check bool) (r.Span.name ^ " closes after them") true
+              (r.Span.t1 > last)
+          end)
+        rs)
+    groups;
+  Alcotest.(check int) "one root per completed query"
+    (List.fold_left (fun acc p -> acc + p.Traffic.q_completed) 0 points)
+    !queries;
+  Alcotest.(check bool) "waves recorded" true (!waves > 0)
 
 let test_sweep_shape () =
   let opts = { fast_opts with Traffic.o_qps = [ 100.; 400. ]; o_trials = 1 } in
@@ -744,6 +823,8 @@ let suite =
         test_simulate_deterministic;
       Alcotest.test_case "traffic traces byte-identical across jobs" `Quick
         test_traffic_trace_bit_identical;
+      Alcotest.test_case "traffic spans: one root per query" `Quick
+        test_traffic_spans;
       Alcotest.test_case "sweep shape and quantile ordering" `Quick
         test_sweep_shape;
       Alcotest.test_case "queue depth conventions pinned" `Quick
