@@ -86,6 +86,61 @@ let prop_counts_never_negative =
       d.Summary.total >= 0.
       && Array.for_all (fun x -> x >= 0.) d.Summary.by_topic)
 
+(* Reference for the update wave's distance kernel: the closure-and-ref
+   accumulator form, kept verbatim.  Any rewrite of
+   [Summary.euclidean_distance] must return exactly these bits. *)
+let ref_euclidean_distance (a : Summary.t) (b : Summary.t) =
+  let acc = ref 0. in
+  let slot x y =
+    let d = x -. y in
+    acc := !acc +. (d *. d)
+  in
+  slot a.Summary.total b.Summary.total;
+  for i = 0 to Array.length a.Summary.by_topic - 1 do
+    slot a.Summary.by_topic.(i) b.Summary.by_topic.(i)
+  done;
+  sqrt !acc
+
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+(* Pairs of one width in the shapes the significance test meets: equal
+   vectors, an all-zero side, near-equal rows (one-ULP-scale noise on
+   large counts) and unrelated rows. *)
+let summary_pair_gen =
+  QCheck.Gen.(
+    let* width = int_range 1 8 in
+    let row = array_size (return width) (float_range 0. 1000.) in
+    let* total = float_range 0. 5000. and* by_topic = row in
+    let a = Summary.make ~total ~by_topic in
+    let* shape = int_range 0 3 in
+    let+ b =
+      match shape with
+      | 0 -> return a
+      | 1 -> return (Summary.zero ~topics:width)
+      | 2 ->
+          let+ eps = float_range 0. 1e-9 in
+          Summary.make ~total:(total *. (1. +. eps))
+            ~by_topic:(Array.map (fun x -> x *. (1. -. eps)) by_topic)
+      | _ ->
+          let+ total = float_range 0. 5000. and+ by_topic = row in
+          Summary.make ~total ~by_topic
+    in
+    if shape = 1 && width mod 2 = 0 then (b, a) else (a, b))
+
+let summary_pair =
+  QCheck.make
+    ~print:(fun (a, b) -> Format.asprintf "%a / %a" Summary.pp a Summary.pp b)
+    summary_pair_gen
+
+let prop_euclidean_bits =
+  QCheck.Test.make ~name:"euclidean_distance bits match the reference"
+    ~count:500 summary_pair (fun (a, b) ->
+      same_bits (Summary.euclidean_distance a b) (ref_euclidean_distance a b)
+      && same_bits
+           (Summary.euclidean_distance (Summary.zero ~topics:(Summary.topics a))
+              (Summary.zero ~topics:(Summary.topics a)))
+           0.)
+
 let suite =
   ( "summary",
     [
@@ -98,4 +153,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_add_commutes;
       QCheck_alcotest.to_alcotest prop_sub_of_add_restores;
       QCheck_alcotest.to_alcotest prop_counts_never_negative;
+      QCheck_alcotest.to_alcotest prop_euclidean_bits;
     ] )
