@@ -68,16 +68,17 @@ let max_rel_diff a b =
   done;
   !worst
 
+(* A plain loop over an unboxed accumulator: a float ref captured by a
+   local closure would box on every add.  The sum over
+   [total; by_topic...] starts from [0.], hence [0. +. d0 *. d0]. *)
 let euclidean_distance a b =
   check_width a b "euclidean_distance";
-  let acc = ref 0. in
-  let slot x y =
-    let d = x -. y in
+  let d0 = a.total -. b.total in
+  let acc = ref (0. +. (d0 *. d0)) in
+  let xa = a.by_topic and xb = b.by_topic in
+  for i = 0 to Array.length xa - 1 do
+    let d = xa.(i) -. xb.(i) in
     acc := !acc +. (d *. d)
-  in
-  slot a.total b.total;
-  for i = 0 to Array.length a.by_topic - 1 do
-    slot a.by_topic.(i) b.by_topic.(i)
   done;
   sqrt !acc
 

@@ -96,24 +96,26 @@ let peer_count t = Rowstore.count t.store
 let storage_words t = 1 + t.width + Rowstore.capacity_words t.store
 
 (* Accumulate in place straight off the flat store, in the row table's
-   iteration order (the bit-identity contract — see {!Rowstore}). *)
+   iteration order (the bit-identity contract — see {!Rowstore}).  The
+   running total lives in a one-cell float array: a float ref captured
+   by the iteration closure would box on every add. *)
 let aggregate_with_local t =
   let by_topic = Array.copy t.local.Summary.by_topic in
-  let total = ref t.local.Summary.total in
+  let total = [| t.local.Summary.total |] in
   (if Rowstore.quantized t.store then begin
      let buf = Rowstore.scratch t.store in
      Rowstore.iter t.store (fun _ off ->
          Rowstore.decode_row t.store off buf;
-         total := !total +. buf.(0);
+         total.(0) <- total.(0) +. buf.(0);
          Vecf.add_slice ~dst:by_topic ~dst_pos:0 buf ~src_pos:1 ~len:t.width)
    end
    else
      let d = Rowstore.data t.store in
      Rowstore.iter t.store (fun _ off ->
-         total := !total +. d.(off);
+         total.(0) <- total.(0) +. d.(off);
          Vecf.add_slice ~dst:by_topic ~dst_pos:0 d ~src_pos:(off + 1)
            ~len:t.width));
-  { Summary.total = !total; by_topic }
+  { Summary.total = total.(0); by_topic }
 
 (* Aggregate minus one flat row, clamped: valid because the row is a
    term of the aggregate, so the difference is non-negative up to float
@@ -146,28 +148,15 @@ let export t ~exclude =
       | None -> all
       | Some off -> minus_row t all off)
 
-let export_all t =
+(* Each peer's export is an independent function of the shared
+   aggregate, so skipping the [except] peers is bit-identical to
+   filtering after the fact.  Update waves call this twice per
+   delivered message (pre/post), always excluding the sender. *)
+let export_except t ~except f =
   let all = aggregate_with_local t in
-  peers t
-  |> List.map (fun p ->
-         match Rowstore.find t.store p with
-         | Some off -> (p, minus_row t all off)
-         | None -> assert false)
+  Rowstore.map_sorted t.store ~except (fun p off -> f p (minus_row t all off))
 
-(* [export_all] minus the [except] peers, without computing their
-   exports at all: each peer's export is an independent function of the
-   shared aggregate, so the survivors are bit-identical to filtering
-   after the fact.  Update waves call this twice per delivered message
-   (pre/post), always excluding the sender. *)
-let export_except t ~except =
-  let all = aggregate_with_local t in
-  peers t
-  |> List.filter_map (fun p ->
-         if List.exists (fun (e : int) -> e = p) except then None
-         else
-           match Rowstore.find t.store p with
-           | Some off -> Some (p, minus_row t all off)
-           | None -> assert false)
+let export_all t = export_except t ~except:[] (fun p s -> (p, s))
 
 let goodness t ~peer ~query =
   match Rowstore.find t.store peer with

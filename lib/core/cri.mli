@@ -81,10 +81,14 @@ val export_all : t -> (int * Ri_content.Summary.t) list
     pass over the rows (the full aggregate minus each row), so hub nodes
     pay O(degree) rather than O(degree²). *)
 
-val export_except : t -> except:int list -> (int * Ri_content.Summary.t) list
-(** {!export_all} restricted to peers not in [except], without computing
-    the excluded exports at all — bit-identical to filtering
-    {!export_all} (each export depends only on the shared aggregate). *)
+val export_except :
+  t -> except:int list -> (int -> Ri_content.Summary.t -> 'a) -> 'a list
+(** [export_except t ~except f] is [f peer (export ~exclude:peer)] for
+    every peer with a row not in [except], in increasing id order,
+    without computing the excluded exports at all — bit-identical to
+    filtering {!export_all} (each export depends only on the shared
+    aggregate).  [f] wraps each export as it is built, so the result is
+    the only list allocated. *)
 
 val goodness : t -> peer:int -> query:int list -> float
 (** {!Estimator.goodness} of the peer's row; [0.] for an unknown peer. *)

@@ -92,24 +92,25 @@ let peer_count t = Rowstore.count t.store
 let storage_words t = 1 + t.width + Rowstore.capacity_words t.store
 
 (* One allocation per aggregate, accumulated off the flat store in row
-   table order (the bit-identity contract). *)
+   table order (the bit-identity contract).  The running total sits in
+   a one-cell float array so the iteration closure never boxes it. *)
 let aggregate_rows t =
   let by_topic = Array.make t.width 0. in
-  let total = ref 0. in
+  let total = [| 0. |] in
   (if Rowstore.quantized t.store then begin
      let buf = Rowstore.scratch t.store in
      Rowstore.iter t.store (fun _ off ->
          Rowstore.decode_row t.store off buf;
-         total := !total +. buf.(0);
+         total.(0) <- total.(0) +. buf.(0);
          Vecf.add_slice ~dst:by_topic ~dst_pos:0 buf ~src_pos:1 ~len:t.width)
    end
    else
      let d = Rowstore.data t.store in
      Rowstore.iter t.store (fun _ off ->
-         total := !total +. d.(off);
+         total.(0) <- total.(0) +. d.(off);
          Vecf.add_slice ~dst:by_topic ~dst_pos:0 d ~src_pos:(off + 1)
            ~len:t.width));
-  { Summary.total = !total; by_topic }
+  { Summary.total = total.(0); by_topic }
 
 (* [finish t rest] is local + rest/F.  Fused into one pass: exports run
    per peer per wave message, and the intermediate summaries (minus,
@@ -164,25 +165,14 @@ let export t ~exclude =
       | None -> finish t agg
       | Some off -> finish_without t agg off)
 
-let export_all t =
-  let agg = aggregate_rows t in
-  peers t
-  |> List.map (fun p ->
-         match Rowstore.find t.store p with
-         | Some off -> (p, finish_without t agg off)
-         | None -> assert false)
-
 (* See {!Cri.export_except}: per-peer exports are independent given the
    aggregate, so skipping the [except] peers is bit-identical. *)
-let export_except t ~except =
+let export_except t ~except f =
   let agg = aggregate_rows t in
-  peers t
-  |> List.filter_map (fun p ->
-         if List.exists (fun (e : int) -> e = p) except then None
-         else
-           match Rowstore.find t.store p with
-           | Some off -> Some (p, finish_without t agg off)
-           | None -> assert false)
+  Rowstore.map_sorted t.store ~except (fun p off ->
+      f p (finish_without t agg off))
+
+let export_all t = export_except t ~except:[] (fun p s -> (p, s))
 
 let goodness t ~peer ~query =
   match Rowstore.find t.store peer with

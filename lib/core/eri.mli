@@ -74,9 +74,10 @@ val export : t -> exclude:int option -> Ri_content.Summary.t
 
 val export_all : t -> (int * Ri_content.Summary.t) list
 
-val export_except : t -> except:int list -> (int * Ri_content.Summary.t) list
-(** {!export_all} restricted to peers not in [except] (see
-    {!Cri.export_except}). *)
+val export_except :
+  t -> except:int list -> (int -> Ri_content.Summary.t -> 'a) -> 'a list
+(** [f peer (export ~exclude:peer)] for every peer with a row not in
+    [except], in increasing id order (see {!Cri.export_except}). *)
 
 val goodness : t -> peer:int -> query:int list -> float
 (** {!Estimator.goodness} applied to the (discounted) row; for a

@@ -133,11 +133,16 @@ let peer_count t = Rowstore.count t.store
 
 let storage_words t = 1 + t.width + Rowstore.capacity_words t.store
 
-(* Sum of all rows, per slot, accumulated off the flat store in row
-   table order (the bit-identity contract): one allocation per slot
-   instead of one per (row, slot). *)
+(* The aggregate columns an export reads: slot [h] of an export is
+   column [h-1], so plain HRI's last column always falls off the
+   horizon, while the hybrid folds it into the tail slot. *)
+let live_columns t = if t.tail then t.horizon + 1 else t.horizon - 1
+
+(* Sum of all rows, per live column, accumulated off the flat store in
+   row table order (the bit-identity contract): one allocation per
+   column instead of one per (row, column). *)
 let aggregate_rows t =
-  let len = row_length t in
+  let len = live_columns t in
   let sw = sw t in
   let totals = Array.make len 0. in
   let by_topic = Array.init len (fun _ -> Array.make t.width 0.) in
@@ -164,78 +169,56 @@ let aggregate_rows t =
   Array.init len (fun h ->
       { Summary.total = totals.(h); by_topic = by_topic.(h) })
 
-(* Aggregate minus one flat row, clamped, slot by slot — per peer per
-   export, built without [Summary.make]'s copy/validate. *)
-let minus_row t agg off =
-  let sw = sw t in
-  if Rowstore.quantized t.store then begin
-    let buf = Rowstore.scratch t.store in
-    Rowstore.decode_row t.store off buf;
-    Array.mapi
-      (fun h (s : Summary.t) ->
-        let pos = h * sw in
-        let by_topic = Array.copy s.Summary.by_topic in
-        Vecf.sub_clamp_slice ~dst:by_topic ~dst_pos:0 buf ~src_pos:(pos + 1)
-          ~len:t.width;
-        let total = s.Summary.total -. buf.(pos) in
-        { Summary.total = (if total > 0. then total else 0.); by_topic })
-      agg
-  end
-  else
-    let d = Rowstore.data t.store in
-    Array.mapi
-      (fun h (s : Summary.t) ->
-        let pos = off + (h * sw) in
-        let by_topic = Array.copy s.Summary.by_topic in
-        Vecf.sub_clamp_slice ~dst:by_topic ~dst_pos:0 d ~src_pos:(pos + 1)
-          ~len:t.width;
-        let total = s.Summary.total -. d.(pos) in
-        { Summary.total = (if total > 0. then total else 0.); by_topic })
-      agg
-
-(* Shift the aggregate one hop outward.  Plain HRI discards the column
-   that crosses the horizon; the hybrid merges it into the tail slot, so
-   the compound-style aggregate beyond the horizon stays complete. *)
-let shift_with_local t agg =
+(* Shift the aggregate one hop outward: slot 0 is the local summary and
+   slot [h] is [column (h - 1)].  Plain HRI discards the column that
+   crosses the horizon; the hybrid merges it into the tail slot, so the
+   compound-style aggregate beyond the horizon stays complete. *)
+let shifted t column =
   if not t.tail then
-    Array.init t.horizon (fun h -> if h = 0 then t.local else agg.(h - 1))
+    Array.init t.horizon (fun h -> if h = 0 then t.local else column (h - 1))
   else
     Array.init (t.horizon + 1) (fun h ->
         if h = 0 then t.local
-        else if h < t.horizon then agg.(h - 1)
-        else Summary.add agg.(t.horizon - 1) agg.(t.horizon))
+        else if h < t.horizon then column (h - 1)
+        else Summary.add (column (t.horizon - 1)) (column t.horizon))
+
+(* The export toward the peer whose row sits at [off]: each live
+   aggregate column minus that row's column, clamped, shifted — built
+   without [Summary.make]'s copy/validate, per peer per export. *)
+let export_without t agg off =
+  let sw = sw t in
+  let quantized = Rowstore.quantized t.store in
+  let d =
+    if quantized then begin
+      let buf = Rowstore.scratch t.store in
+      Rowstore.decode_row t.store off buf;
+      buf
+    end
+    else Rowstore.data t.store
+  in
+  let base = if quantized then 0 else off in
+  shifted t (fun h ->
+      let s = agg.(h) and pos = base + (h * sw) in
+      let by_topic = Array.copy s.Summary.by_topic in
+      Vecf.sub_clamp_slice ~dst:by_topic ~dst_pos:0 d ~src_pos:(pos + 1)
+        ~len:t.width;
+      let total = s.Summary.total -. d.(pos) in
+      { Summary.total = (if total > 0. then total else 0.); by_topic })
 
 let export t ~exclude =
   let agg = aggregate_rows t in
-  let agg =
-    match exclude with
-    | None -> agg
-    | Some peer -> (
-        match Rowstore.find t.store peer with
-        | None -> agg
-        | Some off -> minus_row t agg off)
-  in
-  shift_with_local t agg
-
-let export_all t =
-  let agg = aggregate_rows t in
-  peers t
-  |> List.map (fun p ->
-         match Rowstore.find t.store p with
-         | Some off -> (p, shift_with_local t (minus_row t agg off))
-         | None -> assert false)
+  match Option.bind exclude (Rowstore.find t.store) with
+  | None -> shifted t (Array.get agg)
+  | Some off -> export_without t agg off
 
 (* See {!Cri.export_except}: per-peer exports are independent given the
    aggregate, so skipping the [except] peers is bit-identical. *)
-let export_except t ~except =
+let export_except t ~except f =
   let agg = aggregate_rows t in
-  peers t
-  |> List.filter_map (fun p ->
-         if List.exists (fun (e : int) -> e = p) except then None
-         else
-           match Rowstore.find t.store p with
-           | Some off -> Some (p, shift_with_local t (minus_row t agg off))
-           | None -> assert false)
+  Rowstore.map_sorted t.store ~except (fun p off ->
+      f p (export_without t agg off))
+
+let export_all t = export_except t ~except:[] (fun p r -> (p, r))
 
 (* In hybrid mode the tail slot sits at index [horizon] and is
    discounted as if everything in it were horizon+1 hops away.  Per-hop

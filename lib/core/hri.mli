@@ -109,9 +109,9 @@ val export_all : t -> (int * Ri_content.Summary.t array) list
 (** One export per peer, sharing a single aggregation pass. *)
 
 val export_except :
-  t -> except:int list -> (int * Ri_content.Summary.t array) list
-(** {!export_all} restricted to peers not in [except] (see
-    {!Cri.export_except}). *)
+  t -> except:int list -> (int -> Ri_content.Summary.t array -> 'a) -> 'a list
+(** [f peer (export ~exclude:peer)] for every peer with a row not in
+    [except], in increasing id order (see {!Cri.export_except}). *)
 
 val goodness : t -> peer:int -> query:int list -> float
 (** Cost-model-discounted goodness; [0.] for an unknown peer. *)

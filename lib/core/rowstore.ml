@@ -322,8 +322,30 @@ let stamp t peer =
   | None -> 0
   | Some slot -> t.stamps.(slot)
 
-let peers t =
-  Hashtbl.fold (fun p _ acc -> p :: acc) t.index [] |> List.sort Int.compare
+let rec mem_int (x : int) = function
+  | [] -> false
+  | y :: rest -> y = x || mem_int x rest
+
+(* Peers sort in place in an int array, and the result list is consed
+   from the largest id down, so it is the only list built. *)
+let map_sorted t ~except f =
+  let ps = Array.make (Hashtbl.length t.index) 0 in
+  let n = ref 0 in
+  Hashtbl.iter
+    (fun p _ ->
+      ps.(!n) <- p;
+      incr n)
+    t.index;
+  Array.sort Int.compare ps;
+  let acc = ref [] in
+  for i = Array.length ps - 1 downto 0 do
+    let p = ps.(i) in
+    if not (mem_int p except) then
+      acc := f p (Hashtbl.find t.index p * t.stride) :: !acc
+  done;
+  !acc
+
+let peers t = map_sorted t ~except:[] (fun p _ -> p)
 
 let capacity_words t =
   match t.cells with

@@ -125,6 +125,12 @@ val stamp : t -> int -> int
 val peers : t -> int list
 (** Peers with a row, in increasing id order. *)
 
+val map_sorted : t -> except:int list -> (int -> int -> 'a) -> 'a list
+(** [map_sorted t ~except f] is [[f peer offset; ...]] over the peers
+    with a row that are not in [except], in increasing id order — the
+    per-peer export lists, built in one pass.  [f] runs in decreasing
+    id order, so it must not depend on earlier calls. *)
+
 val capacity_words : t -> int
 (** Allocated backing size in 8-byte words (exact: array length in
     cells; quantized: packed bytes rounded up) — kept for the

@@ -123,18 +123,15 @@ let export t ~exclude =
   | H h -> Hop_vector (Hri.export h ~exclude)
   | E e -> Vector (Eri.export e ~exclude)
 
-let export_all t =
-  match t with
-  | C c -> List.map (fun (p, s) -> (p, Vector s)) (Cri.export_all c)
-  | H h -> List.map (fun (p, r) -> (p, Hop_vector r)) (Hri.export_all h)
-  | E e -> List.map (fun (p, s) -> (p, Vector s)) (Eri.export_all e)
-
+(* Each scheme wraps its exports into payloads as it builds them, so
+   the returned list is the only one allocated. *)
 let export_except t ~except =
   match t with
-  | C c -> List.map (fun (p, s) -> (p, Vector s)) (Cri.export_except c ~except)
-  | H h ->
-      List.map (fun (p, r) -> (p, Hop_vector r)) (Hri.export_except h ~except)
-  | E e -> List.map (fun (p, s) -> (p, Vector s)) (Eri.export_except e ~except)
+  | C c -> Cri.export_except c ~except (fun p s -> (p, Vector s))
+  | H h -> Hri.export_except h ~except (fun p r -> (p, Hop_vector r))
+  | E e -> Eri.export_except e ~except (fun p s -> (p, Vector s))
+
+let export_all t = export_except t ~except:[]
 
 let goodness t ~peer ~query =
   match t with
@@ -212,18 +209,25 @@ let payload_rel_diff a b =
 (* Early-exit form of [payload_rel_diff a b > threshold]: the max over
    entries exceeds the threshold iff some entry does, so the scan can
    stop at the first hit instead of computing the full max.  This is the
-   significance test every delivered update message runs. *)
+   significance test every delivered update message runs, so it is
+   written as plain loops that box no float and build no closure.
+   [if m < 1. then 1. else m] is [Float.max m 1.] for every [m = |old|],
+   NaN included. *)
+let[@inline] entry_exceeds old_ new_ ~threshold =
+  let m = Float.abs old_ in
+  Float.abs (new_ -. old_) /. (if m < 1. then 1. else m) > threshold
+
 let summary_exceeds_rel (x : Summary.t) (y : Summary.t) ~threshold =
-  let exceeds old_ new_ =
-    Float.abs (new_ -. old_) /. Float.max (Float.abs old_) 1. > threshold
-  in
   Summary.topics x <> Summary.topics y
-  || exceeds x.Summary.total y.Summary.total
+  || entry_exceeds x.Summary.total y.Summary.total ~threshold
   ||
   let xb = x.Summary.by_topic and yb = y.Summary.by_topic in
   let n = Array.length xb in
-  let rec go i = i < n && (exceeds xb.(i) yb.(i) || go (i + 1)) in
-  go 0
+  let i = ref 0 in
+  while !i < n && not (entry_exceeds xb.(!i) yb.(!i) ~threshold) do
+    incr i
+  done;
+  !i < n
 
 let payload_exceeds_rel a b ~threshold =
   match (a, b) with
@@ -232,10 +236,11 @@ let payload_exceeds_rel a b ~threshold =
       Array.length x <> Array.length y
       ||
       let n = Array.length x in
-      let rec go i =
-        i < n && (summary_exceeds_rel x.(i) y.(i) ~threshold || go (i + 1))
-      in
-      go 0
+      let h = ref 0 in
+      while !h < n && not (summary_exceeds_rel x.(!h) y.(!h) ~threshold) do
+        incr h
+      done;
+      !h < n
   | Vector _, Hop_vector _ | Hop_vector _, Vector _ ->
       (* A shape change is always significant. *)
       true
@@ -271,6 +276,9 @@ let payload_changed_entries a b =
       !acc
   | _ -> payload_entries b
 
+(* The hop case inlines [Summary.euclidean_distance] per slot — same
+   width check, same summation order, same [sqrt] then square — so no
+   per-slot float is boxed on its way back across the module boundary. *)
 let payload_distance a b =
   match (a, b) with
   | Vector x, Vector y -> Summary.euclidean_distance x y
@@ -278,11 +286,20 @@ let payload_distance a b =
       if Array.length x <> Array.length y then infinity
       else begin
         let acc = ref 0. in
-        Array.iteri
-          (fun i sx ->
-            let d = Summary.euclidean_distance sx y.(i) in
-            acc := !acc +. (d *. d))
-          x;
+        for h = 0 to Array.length x - 1 do
+          let sx = x.(h) and sy = y.(h) in
+          let xb = sx.Summary.by_topic and yb = sy.Summary.by_topic in
+          if Array.length xb <> Array.length yb then
+            invalid_arg "Summary.euclidean_distance: topic width mismatch";
+          let d0 = sx.Summary.total -. sy.Summary.total in
+          let sq = ref (0. +. (d0 *. d0)) in
+          for i = 0 to Array.length xb - 1 do
+            let d = xb.(i) -. yb.(i) in
+            sq := !sq +. (d *. d)
+          done;
+          let d = sqrt !sq in
+          acc := !acc +. (d *. d)
+        done;
         sqrt !acc
       end
   | Vector _, Hop_vector _ | Hop_vector _, Vector _ -> infinity

@@ -144,6 +144,13 @@ let default_budget net =
   done;
   20 * (n + !degrees)
 
+(* The record is built only for an observer: unobserved waves are the
+   common case, and they allocate nothing per delivery here. *)
+let note_delivered on_event ~sender ~receiver ~significant ~forwarded =
+  match on_event with
+  | Some emit -> emit (Delivered { sender; receiver; significant; forwarded })
+  | None -> ()
+
 (* One update delivery, shared verbatim between the synchronous wave
    loop below and the event engine's in-flight waves: judge
    significance against the carried (or gap-corrected) baseline, store
@@ -151,9 +158,8 @@ let default_budget net =
    — the sequential path enqueues them directly, the sharded path
    buffers them per message for ordered replay, and an engine driver
    turns each into a scheduled message. *)
-let deliver_one ?plan ?(on_event = fun (_ : event) -> ()) net ~reached ~wave_id
-    ~forward { sender; receiver; payload; baseline; tainted } =
-  let emit = on_event in
+let deliver_one ?plan ?on_event net ~reached ~wave_id ~forward
+    { sender; receiver; payload; baseline; tainted } =
   let detect = Network.cycle_policy net = Network.Detect_recover in
   let ri = Network.ri net receiver in
   let baseline =
@@ -177,14 +183,8 @@ let deliver_one ?plan ?(on_event = fun (_ : event) -> ()) net ~reached ~wave_id
   if significant net ~baseline ~payload then begin
     let repeat = Bytes.get reached receiver <> '\000' in
     Bytes.set reached receiver '\001';
-    emit
-      (Delivered
-         {
-           sender;
-           receiver;
-           significant = true;
-           forwarded = not (detect && repeat);
-         });
+    note_delivered on_event ~sender ~receiver ~significant:true
+      ~forwarded:(not (detect && repeat));
     (* Detect-and-recover: a node reached for the second time updates
        its row but breaks the cycle by not forwarding. *)
     if detect && repeat then begin
@@ -211,7 +211,8 @@ let deliver_one ?plan ?(on_event = fun (_ : event) -> ()) net ~reached ~wave_id
   end
   else begin
     Ri_obs.Metrics.incr m_insignificant;
-    emit (Delivered { sender; receiver; significant = false; forwarded = false })
+    note_delivered on_event ~sender ~receiver ~significant:false
+      ~forwarded:false
   end
 
 let wire_cost ?plan seed = wire_bytes plan seed
@@ -267,7 +268,7 @@ let wave ?max_messages ?on_event ?plan ?pool net ~seeds ~already_reached
     (* [forward] receives the onward seeds this delivery generates; the
        delivery logic itself is the shared {!deliver_one}. *)
     let deliver ~forward seed =
-      deliver_one ?plan ~on_event:emit net ~reached ~wave_id ~forward seed
+      deliver_one ?plan ?on_event net ~reached ~wave_id ~forward seed
     in
     let forward_next s = Queue.add (Fresh s) next in
     (* An active partition severs the link outright.  Unlike a loss

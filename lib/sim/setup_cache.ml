@@ -65,6 +65,13 @@ type network_key = {
   n_source : source;
 }
 
+(* A faulty trial's paired clean run reads nothing of its configuration's
+   fault spec but the drift and the query budget, so the key is the
+   trial's configuration with the spec reduced to exactly those: the
+   loss levels and fallback policies a fault sweep varies all map to one
+   entry per (search, budget, trial). *)
+type baseline_key = { b_trial : int; b_config : Config.t }
+
 type stats = {
   graph_hits : int;
   graph_misses : int;
@@ -74,10 +81,12 @@ type stats = {
   network_misses : int;
   network_generated : int;
   network_snapshot : int;
+  baseline_hits : int;
+  baseline_misses : int;
 }
 
 (* Trials inside a runner wave execute on separate domains; one mutex
-   guards both tables.  Misses compute outside the lock — a racing
+   guards every table.  Misses compute outside the lock — a racing
    domain may build the same key twice, but both values are structurally
    identical and the first insert wins. *)
 let lock = Mutex.create ()
@@ -88,11 +97,15 @@ let contents : (content_key, content) Hashtbl.t = Hashtbl.create 64
 
 let networks : (network_key, Ri_p2p.Network.t) Hashtbl.t = Hashtbl.create 64
 
+let baselines : (baseline_key, int) Hashtbl.t = Hashtbl.create 64
+
 let graph_words = ref 0
 
 let content_words = ref 0
 
 let network_words = ref 0
+
+let baseline_words = ref 0
 
 let g_hits = ref 0
 
@@ -110,12 +123,16 @@ let n_generated = ref 0
 
 let n_snapshot = ref 0
 
+let b_hits = ref 0
+
+let b_misses = ref 0
+
 (* Bound resident memory rather than entry counts: a 60k-node placement
    is ~15MB while a 300-node one is trivial.  On overflow the table is
    reset wholesale — reuse distances within an experiment sweep are
-   short, so the refill cost is one trial set.  Each of the three
-   tables gets its own budget; [RI_CACHE_WORDS] resizes it (the scale
-   experiment's 100k-node templates are ~8M words apiece). *)
+   short, so the refill cost is one trial set.  Each table gets its own
+   budget; [RI_CACHE_WORDS] resizes it (the scale experiment's 100k-node
+   templates are ~8M words apiece). *)
 let budget_words = Env.int ~min:1 "RI_CACHE_WORDS" 32_000_000
 
 let cache_enabled = ref (Env.int ~min:0 "RI_CACHE" 1 <> 0)
@@ -129,9 +146,11 @@ let clear () =
   Hashtbl.reset graphs;
   Hashtbl.reset contents;
   Hashtbl.reset networks;
+  Hashtbl.reset baselines;
   graph_words := 0;
   content_words := 0;
   network_words := 0;
+  baseline_words := 0;
   g_hits := 0;
   g_misses := 0;
   c_hits := 0;
@@ -140,6 +159,8 @@ let clear () =
   n_misses := 0;
   n_generated := 0;
   n_snapshot := 0;
+  b_hits := 0;
+  b_misses := 0;
   Mutex.unlock lock
 
 let stats () =
@@ -154,6 +175,8 @@ let stats () =
       network_misses = !n_misses;
       network_generated = !n_generated;
       network_snapshot = !n_snapshot;
+      baseline_hits = !b_hits;
+      baseline_misses = !b_misses;
     }
   in
   Mutex.unlock lock;
@@ -221,3 +244,12 @@ let network key compute =
     Ri_p2p.Network.copy
       (find_or networks n_hits n_misses network_words
          ~cost:Ri_p2p.Network.storage_words key compute)
+
+(* An entry is one int plus its key: the key record, the configuration
+   record and clean fault spec it carries (their other nested values are
+   shared with the caller's configuration) and the table cell. *)
+let baseline_cost _ = 48
+
+let baseline key compute =
+  find_or baselines b_hits b_misses baseline_words ~cost:baseline_cost key
+    compute

@@ -14,6 +14,14 @@
     adjacency rows and projects summaries into its own arrays, and
     nothing may mutate a cached [Placement.t]'s summaries in place.
 
+    A fourth table holds a result rather than an ingredient: the result
+    count of a faulty trial's paired fault-free baseline
+    ({!Trial.run_query_faulty}, {!Trial.run_recovery}).  That run is a
+    pure function of the trial and of the configuration with its fault
+    spec reduced to the drift and the query budget, so a fault sweep's
+    loss levels and fallback policies share one baseline per (search,
+    budget, trial) and each distinct baseline runs once.
+
     The cache is domain-safe (trials in a runner wave run concurrently)
     and memory-bounded; set [RI_CACHE=0] to disable it entirely. *)
 
@@ -85,6 +93,18 @@ val network :
     requested a mutable placement (the network's content closures must
     bind the caller's private copy). *)
 
+type baseline_key = {
+  b_trial : int;
+  b_config : Config.t;
+      (** the trial's configuration with its fault spec replaced by the
+          clean spec: {!Ri_p2p.Fault.none} plus the faulty spec's
+          [drift] and [query_budget] *)
+}
+
+val baseline : baseline_key -> (unit -> int) -> int
+(** Same as {!graph}, for the paired clean baseline's result count.
+    [compute] must be a function of the key alone. *)
+
 val enabled : unit -> bool
 
 val set_enabled : bool -> unit
@@ -104,6 +124,8 @@ type stats = {
   network_generated : int;
       (** network accesses keyed to a generator build *)
   network_snapshot : int;  (** network accesses keyed to a snapshot *)
+  baseline_hits : int;
+  baseline_misses : int;
 }
 
 val stats : unit -> stats

@@ -22,6 +22,10 @@ let g_network_hits = g_cache "network" "hits"
 
 let g_network_misses = g_cache "network" "misses"
 
+let g_baseline_hits = g_cache "baseline" "hits"
+
+let g_baseline_misses = g_cache "baseline" "misses"
+
 let g_pool_jobs = Metrics.gauge ~help:"Pool width (domains)." "ri_pool_jobs"
 
 let g_pool_waves = Metrics.gauge ~help:"Waves submitted." "ri_pool_waves"
@@ -77,6 +81,8 @@ let export_metrics () =
   Metrics.set g_content_misses (float_of_int s.Setup_cache.content_misses);
   Metrics.set g_network_hits (float_of_int s.Setup_cache.network_hits);
   Metrics.set g_network_misses (float_of_int s.Setup_cache.network_misses);
+  Metrics.set g_baseline_hits (float_of_int s.Setup_cache.baseline_hits);
+  Metrics.set g_baseline_misses (float_of_int s.Setup_cache.baseline_misses);
   Metrics.set g_net_generated (float_of_int s.Setup_cache.network_generated);
   Metrics.set g_net_snapshot (float_of_int s.Setup_cache.network_snapshot);
   List.iter export_label (Pool.label_stats (Pool.global ()));
@@ -123,14 +129,15 @@ let cache_line () =
     let s = Setup_cache.stats () in
     Printf.sprintf
       "setup-cache: graphs %d hits / %d misses (%.0f%%), content %d hits / %d \
-       misses (%.0f%%), networks %d hits / %d misses (%.0f%%)%s"
+       misses (%.0f%%), networks %d hits / %d misses (%.0f%%)%s, baselines %d \
+       hits / %d misses"
       s.Setup_cache.graph_hits s.Setup_cache.graph_misses
       (pct s.Setup_cache.graph_hits s.Setup_cache.graph_misses)
       s.Setup_cache.content_hits s.Setup_cache.content_misses
       (pct s.Setup_cache.content_hits s.Setup_cache.content_misses)
       s.Setup_cache.network_hits s.Setup_cache.network_misses
       (pct s.Setup_cache.network_hits s.Setup_cache.network_misses)
-      (source_tag s)
+      (source_tag s) s.Setup_cache.baseline_hits s.Setup_cache.baseline_misses
 
 let pool_line () =
   let pool = Pool.global () in

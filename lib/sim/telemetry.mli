@@ -23,10 +23,11 @@ val gc_lines : unit -> string list
     when no phase ran with metrics on. *)
 
 val cache_line : unit -> string
-(** e.g. ["setup-cache: graphs 40 hits / 8 misses (83%), content ..."],
-    or a note that the cache is disabled.  When any network template
-    came from a snapshot file the line carries a
-    [[source: generated xN, snapshot xM]] tag. *)
+(** e.g. ["setup-cache: graphs 40 hits / 8 misses (83%), content ...,
+    baselines 35 hits / 5 misses"], or a note that the cache is
+    disabled.  When any network template came from a snapshot file the
+    networks entry carries a [[source: generated xN, snapshot xM]]
+    tag. *)
 
 val pool_line : unit -> string
 (** e.g. ["pool: 4 domains, 12 waves / 96 trials (max wave 8), ..."];

@@ -465,28 +465,37 @@ let recorded_drift sink plan setup =
    deliver, nothing crashes, no cut severs anything, and its indices
    converge on the drifted world.  Recall against it then measures
    fault damage alone (exactly 1 when every rate is zero), not the
-   drift's rearrangement of the content. *)
-let clean_found_baseline (cfg : Config.t) ~trial ~spec =
-  let clean_spec =
+   drift's rearrangement of the content.  The run reads nothing of the
+   faulty spec but its drift and budget, so it is computed once per
+   distinct (configuration, trial) under the clean spec
+   ({!Setup_cache.baseline}). *)
+let clean_found_baseline (cfg : Config.t) ~trial =
+  let cfg =
     {
-      Fault.none with
-      Fault.drift = spec.Fault.drift;
-      query_budget = spec.Fault.query_budget;
+      cfg with
+      Config.fault =
+        {
+          Fault.none with
+          Fault.drift = cfg.fault.Fault.drift;
+          query_budget = cfg.fault.Fault.query_budget;
+        };
     }
   in
-  let setup =
-    build ~purpose:For_update
-      ~mutable_placement:(clean_spec.Fault.drift > 0.)
-      cfg ~trial
-  in
-  let plan =
-    Fault.make clean_spec ?fault_seed:cfg.fault_seed
-      ~neighbors:(Network.neighbors setup.network)
-      ~seed:cfg.seed ~trial ~nodes:cfg.num_nodes ~protect:[ setup.origin ]
-  in
-  Phase.time "drift" (fun () ->
-      drift_content plan setup ~counters:(Message.create ()) ());
-  Phase.time "query" (fun () -> (query_outcome ~plan cfg setup).Query.found)
+  Setup_cache.baseline { Setup_cache.b_trial = trial; b_config = cfg }
+    (fun () ->
+      let setup =
+        build ~purpose:For_update
+          ~mutable_placement:(cfg.fault.Fault.drift > 0.)
+          cfg ~trial
+      in
+      let plan =
+        Fault.make cfg.fault ?fault_seed:cfg.fault_seed
+          ~neighbors:(Network.neighbors setup.network)
+          ~seed:cfg.seed ~trial ~nodes:cfg.num_nodes ~protect:[ setup.origin ]
+      in
+      Phase.time "drift" (fun () ->
+          drift_content plan setup ~counters:(Message.create ()) ());
+      Phase.time "query" (fun () -> (query_outcome ~plan cfg setup).Query.found))
 
 let run_query_faulty (cfg : Config.t) ~trial =
   let spec = cfg.fault in
@@ -495,7 +504,7 @@ let run_query_faulty (cfg : Config.t) ~trial =
   (* Faulty trials always run on the converged construction: corrective
      waves must be able to reach the rows that guide routing from the
      origin, which the rooted (downstream-only) build cannot express. *)
-  let clean_found = clean_found_baseline cfg ~trial ~spec in
+  let clean_found = clean_found_baseline cfg ~trial in
   Decision.with_trial ~trial (fun decide ->
       Span.with_trial ~trial (fun sink ->
       let setup =
@@ -670,7 +679,7 @@ let run_recovery (cfg : Config.t) ~trial =
   | Config.Ri _ -> ()
   | Config.No_ri | Config.Flooding _ ->
       invalid_arg "Trial.run_recovery: needs an RI search mechanism");
-  let clean_found = clean_found_baseline cfg ~trial ~spec in
+  let clean_found = clean_found_baseline cfg ~trial in
   Decision.with_trial ~trial (fun decide ->
       Span.with_trial ~trial (fun sink ->
       let setup =

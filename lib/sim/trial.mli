@@ -133,9 +133,14 @@ val run_query_faulty : Config.t -> trial:int -> fault_metrics
     fault-prone corrective waves so indices genuinely go stale, then
     run the query with timeouts, retries, stale-row fallback and lazy
     repair.  Recall is measured against a paired clean run of the same
-    setup (same build, same query budget, zero fault rates).
-    Deterministic for a given seed + spec at any pool width: the plan
-    draws from its own [(seed, trial)]-keyed stream.
+    setup (same build, same drift, same query budget, zero fault
+    rates).  That run depends on [cfg.fault] only through its [drift]
+    and [query_budget], so {!Setup_cache.baseline} computes it once per
+    distinct (clean configuration, trial): a sweep over loss levels or
+    fallback policies reuses it, and [RI_CACHE=0] recomputes it every
+    time with identical results.  Deterministic for a given seed + spec
+    at any pool width: the plan draws from its own [(seed, trial)]-keyed
+    stream.
     @raise Invalid_argument when [cfg.fault] is inert. *)
 
 type parallel_metrics = {
@@ -201,6 +206,8 @@ val run_recovery : Config.t -> trial:int -> recovery_metrics
     image, even ones rejoin amnesiac), runs
     {!Ri_p2p.Update.anti_entropy} to a repair-free round (capped at 64),
     and measures the {e restored} query.  Recall for both queries is
-    against the same clean baseline as {!run_query_faulty}.
+    against the same clean baseline as {!run_query_faulty} — the same
+    cache entry, so a sweep over partition sizes runs it once per
+    search and trial.
     @raise Invalid_argument when [cfg.fault] is inert or the config does
     not search with an RI. *)

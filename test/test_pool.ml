@@ -366,6 +366,103 @@ let test_parallel_build_matches_sequential () =
           ("rooted", Trial.For_query); ("converged", Trial.For_update);
         ])
 
+(* ------------------------------------------------------------------ *)
+(* The paired clean baseline is memoized in the setup cache: a fault    *)
+(* report must not depend on whether each baseline ran fresh or came   *)
+(* from the table, nor on the pool width.                              *)
+
+let fault_base = Config.scaled Config.base ~num_nodes:150
+
+let fault_spec trials =
+  { Runner.min_trials = trials; max_trials = trials; target_rel_error = 0.1 }
+
+let with_cache enabled f =
+  let was = Setup_cache.enabled () in
+  Fun.protect
+    ~finally:(fun () ->
+      Setup_cache.set_enabled was;
+      Setup_cache.clear ())
+    (fun () ->
+      Setup_cache.set_enabled enabled;
+      Setup_cache.clear ();
+      f ())
+
+let fault_reports () =
+  let open Ri_experiments in
+  let spec = fault_spec 2 in
+  Report.to_string (Fig_faults.run ~base:fault_base ~spec)
+  ^ Report.to_string (Fig_recovery.run ~base:fault_base ~spec)
+
+let test_baseline_memo_reports () =
+  let cached = with_cache true (fun () -> with_global_jobs 1 fault_reports) in
+  let fresh = with_cache false (fun () -> with_global_jobs 1 fault_reports) in
+  let wide = with_cache true (fun () -> with_global_jobs 4 fault_reports) in
+  Alcotest.(check string) "cache off = cache on" fresh cached;
+  Alcotest.(check string) "jobs 4 = jobs 1" cached wide
+
+let test_baseline_memo_counts () =
+  with_cache true (fun () ->
+      let trials = 2 in
+      ignore
+        (Ri_experiments.Fig_faults.run ~base:fault_base ~spec:(fault_spec trials));
+      (* 8 search groups x 5 loss levels per trial, but the clean spec
+         keeps only the drift and the budget: the groups collapse to 5
+         (search, budget) pairs — CRI, HRI, ERI and No-RI at 2N
+         forwards, flooding unbounded. *)
+      let counts () =
+        let s = Setup_cache.stats () in
+        (s.Setup_cache.baseline_hits, s.Setup_cache.baseline_misses)
+      in
+      Alcotest.(check (pair int int))
+        "hits, misses" (35 * trials, 5 * trials) (counts ());
+      (* Any loss level of a CRI cell at the sweep's drift and budget
+         shares the sweep's baseline; after [clear] it runs again. *)
+      let cfg =
+        {
+          (Config.with_search fault_base (Config.Ri Config.cri)) with
+          Config.fault =
+            {
+              Ri_p2p.Fault.none with
+              Ri_p2p.Fault.update_loss = 0.3;
+              drift = 0.75;
+              query_budget = Some (2 * fault_base.Config.num_nodes);
+            };
+        }
+      in
+      ignore (Trial.run_query_faulty cfg ~trial:0);
+      Alcotest.(check (pair int int))
+        "an unswept loss level hits" ((35 * trials) + 1, 5 * trials) (counts ());
+      Setup_cache.clear ();
+      Alcotest.(check (pair int int)) "cleared stats" (0, 0) (counts ());
+      ignore (Trial.run_query_faulty cfg ~trial:0);
+      Alcotest.(check (pair int int)) "recomputed after clear" (0, 1) (counts ()))
+
+let test_baseline_table_contract () =
+  let key =
+    { Setup_cache.b_trial = 3; b_config = Config.scaled Config.base ~num_nodes:50 }
+  in
+  let calls = ref 0 in
+  let compute () =
+    incr calls;
+    17
+  in
+  with_cache true (fun () ->
+      Alcotest.(check int) "miss computes" 17 (Setup_cache.baseline key compute);
+      Alcotest.(check int) "hit returns the value" 17
+        (Setup_cache.baseline key (fun () -> Alcotest.fail "recomputed on a hit"));
+      Alcotest.(check int) "computed once" 1 !calls;
+      Setup_cache.clear ();
+      ignore (Setup_cache.baseline key compute);
+      Alcotest.(check int) "clear drops the entry" 2 !calls);
+  with_cache false (fun () ->
+      ignore (Setup_cache.baseline key compute);
+      ignore (Setup_cache.baseline key compute);
+      Alcotest.(check int) "disabled cache always computes" 4 !calls;
+      let s = Setup_cache.stats () in
+      Alcotest.(check (pair int int))
+        "disabled cache counts nothing" (0, 0)
+        (s.Setup_cache.baseline_hits, s.Setup_cache.baseline_misses))
+
 let suite =
   ( "pool-and-parallelism",
     [
@@ -389,4 +486,10 @@ let suite =
         test_faulty_trial_width_invariant;
       Alcotest.test_case "parallel build = sequential build (bit-identical)"
         `Quick test_parallel_build_matches_sequential;
+      Alcotest.test_case "baseline memo: reports cache- and width-invariant"
+        `Slow test_baseline_memo_reports;
+      Alcotest.test_case "baseline memo: one run per (search, budget, trial)"
+        `Quick test_baseline_memo_counts;
+      Alcotest.test_case "baseline memo: table contract" `Quick
+        test_baseline_table_contract;
     ] )
