@@ -1,10 +1,11 @@
-.PHONY: all check test bench bench-smoke bench-check bench-baseline clean
+.PHONY: all check test bench bench-smoke clean
 
 all:
 	dune build
 
 # Tier-1 verification: full build plus the whole test suite (which
-# includes a tiny-scale smoke run of the bench harness).
+# includes tiny-scale smoke runs of the bench harness and the ledger,
+# and the ledger's pinned work counts).
 check:
 	dune build && dune runtest
 
@@ -14,19 +15,9 @@ test: check
 bench:
 	dune exec bench/main.exe
 
-# Quick wall-clock check of the figure harness, micro section skipped.
+# Quick wall-clock check of the figure harness.
 bench-smoke:
-	RI_NODES=2000 RI_TRIALS=5 RI_MICRO=0 dune exec bench/main.exe
-
-# Regression gate: compare BENCH_results.json against the committed
-# BENCH_baseline.json (threshold RI_BENCH_THRESHOLD percent, default 15).
-# Exits nonzero on regression; a no-op until a baseline is committed.
-bench-check:
-	dune exec bench/regress.exe
-
-# Refresh the committed baseline from the latest local bench run.
-bench-baseline:
-	cp BENCH_results.json BENCH_baseline.json
+	RI_NODES=2000 RI_TRIALS=5 dune exec bench/main.exe
 
 clean:
 	dune clean

@@ -1,75 +1,43 @@
-(* Benchmark harness.
+(* Benchmark harness: reproduces every table and figure of the paper's
+   evaluation section (Figures 13-20 plus the flooding comparison) and
+   prints each as a table shaped like the published chart, with the
+   paper's qualitative finding quoted above it for comparison, then the
+   ablations the paper sketches but does not evaluate.  Each report is
+   followed by its wall-clock seconds on a line of its own, "(N.Ns)".
 
-   Part 1 reproduces every table and figure of the paper's evaluation
-   section (Figures 13-20 plus the flooding comparison) and prints each
-   as a table shaped like the published chart, with the paper's
-   qualitative finding quoted above it for comparison.
-
-   Part 2 times the building blocks with Bechamel: one Test.make per
-   figure (a single trial of that figure's base configuration) and a set
-   of micro-benchmarks for the core operations.
-
-   Both parts also land in a machine-readable JSON file so runs can be
-   diffed (per-figure wall-clock seconds, per-micro ns/run).
+   The layer-by-layer cost of these figures is measured by the ledger
+   (ledger/README.md), not here.
 
    Environment knobs:
-     RI_NODES       network size for part 1 (default 10000; paper uses 60000)
+     RI_NODES       network size (default 10000; paper uses 60000)
      RI_TRIALS      max trials per data point (default 30; the 95%/10% CI
                     rule usually stops earlier)
-     RI_JOBS        trial-level parallelism (see Ri_util.Pool)
-     RI_MICRO       set to 0 to skip the Bechamel + tail-latency sections
-     RI_QUANTILE_REPS
-                    timed reps per micro in the tail-latency pass
-                    (default 200)
-     RI_SCALE_NODES comma-separated sizes for an additional scale sweep
-                    (e.g. 2000,10000; default off — the 100k point takes
-                    minutes)
-     RI_BENCH_JSON  output path for the JSON results
-                    (default BENCH_results.json; empty disables) *)
+     RI_JOBS        trial-level parallelism (see Ri_util.Pool) *)
 
 open Ri_util
 open Ri_sim
 
 let nodes = Env.int "RI_NODES" 10000
 
-let spec = Runner.spec_of_env ()
+(* Fewer trials trade precision for wall clock. *)
+let spec =
+  let d = Runner.default_spec in
+  let m = Env.int ~min:1 "RI_TRIALS" d.Runner.max_trials in
+  { d with Runner.max_trials = m; min_trials = min d.Runner.min_trials m }
 
 let base = Config.scaled Config.base ~num_nodes:nodes
 
-let json_path = Env.string "RI_BENCH_JSON" "BENCH_results.json"
-
-(* ------------------------------------------------------------------ *)
-(* Part 1: the paper's figures.                                        *)
-
-let figure_seconds : (string * float) list ref = ref []
-
-(* Main-domain minor words per figure: with RI_JOBS > 1 the pool domains
-   allocate on their own counters, so run jobs=1 when the absolute
-   numbers matter; the relative movement between runs is meaningful
-   either way. *)
-let figure_minor_words : (string * float) list ref = ref []
-
-let section_seconds : (string * float) list ref = ref []
-
-let run_section name entries =
-  let t0 = Unix.gettimeofday () in
+let run_section entries =
   List.iter
     (fun e ->
       let t0 = Unix.gettimeofday () in
-      let w0 = Gc.minor_words () in
       let report = e.Ri_experiments.Registry.run ~base ~spec in
       let dt = Unix.gettimeofday () -. t0 in
-      figure_seconds := (e.Ri_experiments.Registry.id, dt) :: !figure_seconds;
-      figure_minor_words :=
-        (e.Ri_experiments.Registry.id, Gc.minor_words () -. w0)
-        :: !figure_minor_words;
       Ri_experiments.Report.print report;
       Printf.printf "(%.1fs)\n\n%!" dt)
-    entries;
-  section_seconds :=
-    (name, Unix.gettimeofday () -. t0) :: !section_seconds
+    entries
 
-let run_figures () =
+let () =
   Printf.printf
     "=====================================================================\n\
      Routing Indices for Peer-to-Peer Systems - evaluation reproduction\n\
@@ -79,509 +47,10 @@ let run_figures () =
     base.Config.num_nodes base.Config.query_results spec.Runner.max_trials
     (100. *. spec.Runner.target_rel_error)
     (Pool.jobs (Pool.global ()));
-  run_section "figures" Ri_experiments.Registry.all;
+  run_section Ri_experiments.Registry.all;
   Printf.printf
     "---------------------------------------------------------------------\n\
      Extensions the paper sketches but does not evaluate (ablations)\n\
      ---------------------------------------------------------------------\n\n";
-  run_section "extensions" Ri_experiments.Registry.extensions;
+  run_section Ri_experiments.Registry.extensions;
   Printf.printf "%s\n%s\n\n%!" (Telemetry.cache_line ()) (Telemetry.pool_line ())
-
-(* ------------------------------------------------------------------ *)
-(* Part 2: Bechamel timings.                                           *)
-
-open Bechamel
-
-(* The raw ns clock from bechamel's stubs, grabbed before [open
-   Toolkit] shadows the name with its same-named MEASURE instance. *)
-module Clock = Monotonic_clock
-
-open Toolkit
-
-(* One trial of each figure's base configuration, at a fixed small scale
-   so a run is milliseconds, not seconds. *)
-let micro_nodes = 2000
-
-let micro_base = Config.scaled { Config.base with Config.seed = 7 } ~num_nodes:micro_nodes
-
-(* Rotating over 8 trials exercises the setup cache the way a runner
-   wave does, but across the whole micro section those templates add up
-   (9 tests x 8 converged networks, several MB each): that much live
-   major heap taxes every later measurement with marking work.  Each
-   test therefore starts from an empty cache and a compact heap — the
-   one clear is amortised over a full Bechamel quota. *)
-let fresh_cache counter =
-  if !counter = 0 then begin
-    Setup_cache.clear ();
-    Gc.compact ()
-  end;
-  incr counter
-
-(* Each micro is a (name, thunk) pair: the same thunk feeds Bechamel's
-   OLS fit (mean ns/run) and the tail-latency pass (p50/p95/p99), so
-   both numbers describe the identical code path.  Builders return
-   fresh closures, so each pass starts from its own rotation counter
-   and a cleared cache. *)
-let trial_micro name cfg =
-  let counter = ref 0 in
-  ( name,
-    fun () ->
-      fresh_cache counter;
-      ignore (Trial.run_query cfg ~trial:(!counter mod 8)) )
-
-let update_trial_micro name cfg =
-  let counter = ref 0 in
-  ( name,
-    fun () ->
-      fresh_cache counter;
-      ignore (Trial.run_update cfg ~trial:(!counter mod 8)) )
-
-let figure_micros () =
-  [
-    (* fig13: scheme comparison - one ERI query trial. *)
-    trial_micro "fig13-eri-query"
-      (Config.with_search micro_base (Config.Ri (Config.eri micro_base)));
-    (* fig14: requested results - a 100-result CRI query trial. *)
-    trial_micro "fig14-stop100-cri"
-      (Config.with_search
-         { micro_base with Config.stop_condition = 100 }
-         (Config.Ri Config.cri));
-    (* fig15: compression - an 80%-compressed ERI query trial. *)
-    trial_micro "fig15-compressed"
-      (Config.with_search
-         { micro_base with Config.compression_ratio = 0.8 }
-         (Config.Ri (Config.eri micro_base)));
-    (* fig16: cycles - ERI query on a tree with extra links. *)
-    trial_micro "fig16-tree-cycles"
-      (Config.with_search
-         { micro_base with Config.topology = Config.Tree_with_cycles { extra_links = 33 } }
-         (Config.Ri (Config.eri micro_base)));
-    (* fig17: topology - ERI query on a power-law overlay. *)
-    trial_micro "fig17-powerlaw"
-      (Config.with_search
-         (Config.with_topology micro_base Config.Power_law_graph)
-         (Config.Ri (Config.eri micro_base)));
-    (* fig18: update cost - one CRI update batch. *)
-    update_trial_micro "fig18-cri-update"
-      (Config.with_search micro_base (Config.Ri Config.cri));
-    (* fig19: update cost under cycles - ERI update on tree+cycles. *)
-    update_trial_micro "fig19-eri-update-cycles"
-      (Config.with_search
-         { micro_base with Config.topology = Config.Tree_with_cycles { extra_links = 33 } }
-         (Config.Ri (Config.eri micro_base)));
-    (* fig20: the byte-cost study combines query and update trials; the
-       No-RI query side is its distinct ingredient. *)
-    trial_micro "fig20-no-ri-query" (Config.with_search micro_base Config.No_ri);
-    (* flooding comparison. *)
-    trial_micro "flood-query"
-      (Config.with_search micro_base (Config.Flooding { ttl = None }));
-  ]
-
-(* Micro-benchmarks of the core operations. *)
-let core_micros () =
-  let open Ri_content in
-  let open Ri_core in
-  let width = 30 in
-  let summary =
-    Summary.make ~total:1000.
-      ~by_topic:(Array.init width (fun i -> float_of_int ((i * 37) mod 97)))
-  in
-  let big_ri =
-    let t = Scheme.create Scheme.Cri_kind ~width ~local:summary in
-    for peer = 0 to 99 do
-      Scheme.set_row t ~peer
-        (Scheme.Vector (Summary.scale summary (1. /. float_of_int (peer + 1))))
-    done;
-    t
-  in
-  let setup = Trial.build ~purpose:Trial.For_query micro_base ~trial:3 in
-  let upd_setup = Trial.build ~purpose:Trial.For_update micro_base ~trial:5 in
-  (* The boxed/in-place pair does the same add + clamped-sub + scale
-     arithmetic over a (1 + width) row; boxed allocates three fresh
-     summaries per run, in-place writes a flat-store row and allocates
-     nothing — the core trade the SoA rewrite is about. *)
-  let row = Array.init (width + 1) (fun i -> float_of_int ((i * 19) mod 89)) in
-  let flat = Array.make (4 * (width + 1)) 100. in
-  let boxed_row = Summary.make ~total:row.(0) ~by_topic:(Array.sub row 1 width) in
-  let boxed_acc = Summary.scale summary 2. in
-  [
-    ( "core-estimator-goodness",
-      fun () -> ignore (Estimator.goodness summary [ 3; 17 ]) );
-    ( "core-summary-boxed",
-      fun () ->
-        ignore
-          (Summary.scale (Summary.sub (Summary.add boxed_acc boxed_row) boxed_row) 1.)
-    );
-    ( "core-summary-inplace",
-      fun () ->
-        Vecf.add_slice ~dst:flat ~dst_pos:0 row ~src_pos:0 ~len:(width + 1);
-        Vecf.sub_clamp_slice ~dst:flat ~dst_pos:0 row ~src_pos:0
-          ~len:(width + 1);
-        Vecf.scale_slice flat ~pos:0 ~len:(width + 1) 1. );
-    ( "update-delta-wave",
-      fun () -> ignore (Trial.run_update_on micro_base upd_setup) );
-    (* One open-loop traffic trial on the discrete-event engine: ~40
-       Poisson arrivals interleaved through mailboxes with service and
-       link latency — the per-event scheduler cost under load. *)
-    ( "traffic-engine-trial",
-      let traffic_cfg =
-        Config.with_search micro_base (Config.Ri (Config.eri micro_base))
-      in
-      let opts =
-        {
-          Ri_experiments.Traffic.default_opts with
-          Ri_experiments.Traffic.o_qps = [ 2000. ];
-          o_duration = 0.02;
-          o_service_rate = 20_000.;
-          o_link_latency = 0.05;
-          o_trials = 1;
-        }
-      in
-      fun () ->
-        ignore
-          (Ri_experiments.Traffic.simulate traffic_cfg ~opts ~qps:2000.
-             ~trial:3) );
-    (* The identical trial with the observatory timeline recording
-       live: every gated capture site takes its one load-and-branch and
-       then actually records, flushes and clears.  The committed
-       baseline entry for this name is the OFF-path time of the same
-       trial, so the regression gate bounds the on-vs-off overhead at
-       its threshold instead of merely tracking drift. *)
-    ( "traffic-observatory-on-vs-off",
-      let traffic_cfg =
-        Config.with_search micro_base (Config.Ri (Config.eri micro_base))
-      in
-      let opts =
-        {
-          Ri_experiments.Traffic.default_opts with
-          Ri_experiments.Traffic.o_qps = [ 2000. ];
-          o_duration = 0.02;
-          o_service_rate = 20_000.;
-          o_link_latency = 0.05;
-          o_trials = 1;
-        }
-      in
-      fun () ->
-        Ri_obs.Observatory.start ();
-        ignore
-          (Ri_experiments.Traffic.simulate traffic_cfg ~opts ~qps:2000.
-             ~trial:3);
-        Ri_obs.Observatory.stop ();
-        Ri_obs.Observatory.clear () );
-    ("core-export-all-100-peers", fun () -> ignore (Scheme.export_all big_ri));
-    ( "core-rank-100-peers",
-      fun () -> ignore (Scheme.rank big_ri ~query:[ 3 ] ~exclude:[]) );
-    ( "core-query-prebuilt-net",
-      fun () ->
-        ignore
-          (Ri_p2p.Query.run setup.Trial.network ~origin:setup.Trial.origin
-             ~query:setup.Trial.query ~forwarding:Ri_p2p.Query.Ri_guided) );
-  ]
-
-let run_bechamel micros =
-  Printf.printf
-    "=====================================================================\n\
-     Bechamel timings (one Test.make per figure at %d nodes, plus core ops)\n\
-     =====================================================================\n\n%!"
-    micro_nodes;
-  let tests =
-    List.map (fun (name, fn) -> Test.make ~name (Staged.stage fn)) micros
-  in
-  let test = Test.make_grouped ~name:"ri" ~fmt:"%s %s" tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true () in
-  let raw = Benchmark.all cfg instances test in
-  match List.map (fun instance -> Analyze.all ols instance raw) instances with
-  | [] -> []
-  | clock_results :: _ ->
-      let rows = ref [] in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> rows := (name, est) :: !rows
-          | _ -> ())
-        clock_results;
-      let rows = List.sort compare !rows in
-      Printf.printf "%-36s %16s\n" "benchmark" "time/run";
-      Printf.printf "%s\n" (String.make 53 '-');
-      List.iter
-        (fun (name, ns) ->
-          let pretty =
-            if ns >= 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-            else if ns >= 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-            else if ns >= 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-            else Printf.sprintf "%.0f ns" ns
-          in
-          Printf.printf "%-36s %16s\n" name pretty)
-        rows;
-      print_newline ();
-      rows
-
-(* Tail-latency pass: Bechamel's OLS fit gives the mean cost per run;
-   the p95/p99 columns need each repetition timed individually.  A
-   short warmup settles caches and the minor heap, then every timed rep
-   lands in a quantile sketch (1% relative error) — the same structure
-   the simulator's live telemetry uses, so the BENCH JSON and /metrics
-   agree on what a quantile means.  RI_QUANTILE_REPS sets the rep count
-   (default 200); the p99 values feed the RI_BENCH_P99 regression
-   gate. *)
-let quantile_reps = Env.int ~min:10 "RI_QUANTILE_REPS" 200
-
-let run_quantiles micros =
-  Printf.printf
-    "Tail latency (%d timed reps per micro, DDSketch alpha %.0f%%)\n\n"
-    quantile_reps
-    (100. *. Ri_obs.Sketch.default_alpha);
-  let sample (name, fn) =
-    for _ = 1 to 10 do
-      fn ()
-    done;
-    let sk = Ri_obs.Sketch.create () in
-    for _ = 1 to quantile_reps do
-      let t0 = Clock.now () in
-      fn ();
-      let t1 = Clock.now () in
-      Ri_obs.Sketch.add sk (Int64.to_float (Int64.sub t1 t0))
-    done;
-    (name, sk)
-  in
-  let rows = List.map sample micros in
-  let pretty ns =
-    if ns >= 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-    else if ns >= 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-    else if ns >= 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-    else Printf.sprintf "%.0f ns" ns
-  in
-  Printf.printf "%-36s %12s %12s %12s\n" "benchmark" "p50" "p95" "p99";
-  Printf.printf "%s\n" (String.make 75 '-');
-  List.iter
-    (fun (name, sk) ->
-      let q p = Ri_obs.Sketch.quantile sk p in
-      Printf.printf "%-36s %12s %12s %12s\n" name
-        (pretty (q 0.5)) (pretty (q 0.95)) (pretty (q 0.99)))
-    rows;
-  print_newline ();
-  rows
-
-(* Minor words allocated per run of the hot operations, measured by
-   hand around a fixed repetition count (Bechamel's allocation probes
-   disagree across OCaml versions; [Gc.minor_words] does not). *)
-let run_minor_words () =
-  let per_run name reps f =
-    f ();
-    let w0 = Gc.minor_words () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    (name, (Gc.minor_words () -. w0) /. float_of_int reps)
-  in
-  let setup = Trial.build ~purpose:Trial.For_query micro_base ~trial:3 in
-  let upd = Trial.build ~purpose:Trial.For_update micro_base ~trial:5 in
-  let rows =
-    [
-      per_run "core-query-prebuilt-net" 200 (fun () ->
-          ignore
-            (Ri_p2p.Query.run setup.Trial.network ~origin:setup.Trial.origin
-               ~query:setup.Trial.query ~forwarding:Ri_p2p.Query.Ri_guided));
-      per_run "update-delta-wave" 50 (fun () ->
-          ignore (Trial.run_update_on micro_base upd));
-      per_run "core-export-all-100-peers" 1000 (fun () ->
-          ignore
-            (Ri_core.Scheme.export_all
-               (Ri_p2p.Network.ri setup.Trial.network setup.Trial.origin)));
-    ]
-  in
-  Printf.printf "%-36s %16s\n" "benchmark" "minor words/run";
-  Printf.printf "%s\n" (String.make 53 '-');
-  List.iter (fun (name, w) -> Printf.printf "%-36s %16.1f\n" name w) rows;
-  print_newline ();
-  rows
-
-(* Optional scale sweep (RI_SCALE_NODES=2000,10000,...): the fig_scale
-   experiment's points land in the JSON next to the micros. *)
-let run_scale () =
-  match Env.string "RI_SCALE_NODES" "" with
-  | "" -> None
-  | s ->
-      let sizes =
-        List.filter_map int_of_string_opt (String.split_on_char ',' s)
-      in
-      if sizes = [] then None
-      else begin
-        let points = Ri_experiments.Fig_scale.sweep ~sizes ~base ~spec () in
-        Ri_experiments.Report.print
-          (Ri_experiments.Fig_scale.report_of points);
-        print_newline ();
-        Some points
-      end
-
-(* ------------------------------------------------------------------ *)
-(* JSON results file.                                                  *)
-
-(* Tiny hand-rolled emitter: the only strings are our own benchmark ids
-   (alphanumerics and dashes), so escaping is a non-issue. *)
-let write_json ~figures ~figure_words ~sections ~cache ~micro ~minor_words
-    ~quantiles ~scale =
-  if json_path <> "" then begin
-    let buf = Buffer.create 4096 in
-    let entry fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    let map name pairs emit_one =
-      entry "  \"%s\": {\n" name;
-      let n = List.length pairs in
-      List.iteri
-        (fun i kv ->
-          emit_one kv;
-          entry "%s\n" (if i = n - 1 then "" else ","))
-        pairs;
-      entry "  },\n"
-    in
-    entry "{\n";
-    entry "  \"unix_time\": %.0f,\n" (Unix.time ());
-    (* Provenance stamp so a results file can be traced back to the tree
-       and machine that produced it (consumed by `risim report`). *)
-    let git_commit =
-      try
-        let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
-        let line = try String.trim (input_line ic) with End_of_file -> "" in
-        match (Unix.close_process_in ic, line) with
-        | Unix.WEXITED 0, l when l <> "" -> l
-        | _ -> "unknown"
-      with _ -> "unknown"
-    in
-    let tm = Unix.gmtime (Unix.time ()) in
-    entry "  \"meta\": {\n";
-    entry "    \"git_commit\": \"%s\",\n" (Ri_util.Json.escape git_commit);
-    entry "    \"timestamp_utc\": \"%04d-%02d-%02dT%02d:%02d:%02dZ\",\n"
-      (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
-      tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec;
-    entry "    \"hostname\": \"%s\",\n"
-      (Ri_util.Json.escape (Unix.gethostname ()));
-    entry "    \"ri_jobs\": \"%s\",\n"
-      (Ri_util.Json.escape
-         (match Sys.getenv_opt "RI_JOBS" with Some v -> v | None -> ""));
-    entry "    \"jobs_resolved\": %d\n" (Pool.jobs (Pool.global ()));
-    entry "  },\n";
-    entry "  \"config\": {\n";
-    entry "    \"nodes\": %d,\n" nodes;
-    entry "    \"max_trials\": %d,\n" spec.Runner.max_trials;
-    entry "    \"target_rel_error\": %g,\n" spec.Runner.target_rel_error;
-    entry "    \"jobs\": %d,\n" (Pool.jobs (Pool.global ()));
-    entry "    \"obs_enabled\": %b\n" (Ri_obs.Metrics.enabled ());
-    entry "  },\n";
-    map "figures_wall_clock_s" figures (fun (id, s) ->
-        entry "    \"%s\": %.3f" id s);
-    map "figures_minor_words" figure_words (fun (id, w) ->
-        entry "    \"%s\": %.0f" id w);
-    map "sections_wall_clock_s" sections (fun (name, s) ->
-        entry "    \"%s\": %.3f" name s);
-    entry "  \"total_figures_s\": %.3f,\n"
-      (List.fold_left (fun acc (_, s) -> acc +. s) 0. sections);
-    (* Per-phase pipeline timings only exist when metric recording is on
-       (RI_OBS=1): with it off the bench measures the undisturbed path. *)
-    (match Ri_obs.Phase.totals () with
-    | [] -> ()
-    | phases ->
-        map "phase_seconds" phases (fun (name, count, total) ->
-            entry "    \"%s\": {\"samples\": %d, \"total_s\": %.3f}" name count
-              total));
-    let c = cache in
-    entry "  \"setup_cache\": {\n";
-    entry "    \"enabled\": %b,\n" (Setup_cache.enabled ());
-    entry "    \"graph_hits\": %d,\n" c.Setup_cache.graph_hits;
-    entry "    \"graph_misses\": %d,\n" c.Setup_cache.graph_misses;
-    entry "    \"content_hits\": %d,\n" c.Setup_cache.content_hits;
-    entry "    \"content_misses\": %d,\n" c.Setup_cache.content_misses;
-    entry "    \"network_hits\": %d,\n" c.Setup_cache.network_hits;
-    entry "    \"network_misses\": %d,\n" c.Setup_cache.network_misses;
-    entry "    \"networks_generated\": %d,\n" c.Setup_cache.network_generated;
-    entry "    \"networks_from_snapshot\": %d\n" c.Setup_cache.network_snapshot;
-    entry "  },\n";
-    (* Process-level memory at the end of the run: resident set now and
-       the kernel's high-water mark (null where procfs is unavailable). *)
-    let mem_field = function
-      | Some mb -> Printf.sprintf "%.1f" mb
-      | None -> "null"
-    in
-    entry "  \"memory\": {\n";
-    entry "    \"rss_mb\": %s,\n" (mem_field (Rss.resident_mb ()));
-    entry "    \"peak_rss_mb\": %s,\n" (mem_field (Rss.peak_mb ()));
-    entry "    \"top_heap_mb\": %.1f\n"
-      (float_of_int (Gc.quick_stat ()).Gc.top_heap_words *. 8. /. 1e6);
-    entry "  },\n";
-    let pool = Pool.global () in
-    let p = Pool.stats pool in
-    entry "  \"pool\": {\n";
-    entry "    \"jobs\": %d,\n" (Pool.jobs pool);
-    entry "    \"waves\": %d,\n" p.Pool.waves;
-    entry "    \"items\": %d,\n" p.Pool.items;
-    entry "    \"max_wave\": %d,\n" p.Pool.max_wave;
-    entry "    \"busy_domains_avg\": %.2f,\n"
-      (if p.Pool.waves = 0 then 0.
-       else float_of_int p.Pool.busy_domains /. float_of_int p.Pool.waves);
-    entry "    \"submit_wait_s\": %.3f\n" p.Pool.submit_wait_s;
-    entry "  },\n";
-    (match scale with
-    | None -> ()
-    | Some points ->
-        entry "  \"scale\": %s,\n" (Ri_experiments.Fig_scale.json_of points));
-    (match minor_words with
-    | [] -> ()
-    | words ->
-        map "micro_minor_words_per_run" words (fun (name, w) ->
-            entry "    \"%s\": %.1f" name w));
-    (* Per-micro tail latency; the p99 values are what RI_BENCH_P99=1
-       gates in bench/regress. *)
-    (match quantiles with
-    | [] -> ()
-    | rows ->
-        map "micro_quantiles_ns" rows (fun (name, sk) ->
-            let q p = Ri_obs.Sketch.quantile sk p in
-            entry
-              "    \"%s\": {\"count\": %d, \"p50\": %.1f, \"p95\": %.1f, \
-               \"p99\": %.1f}"
-              name (Ri_obs.Sketch.count sk) (q 0.5) (q 0.95) (q 0.99)));
-    entry "  \"micro_ns_per_run\": {\n";
-    let n = List.length micro in
-    List.iteri
-      (fun i (name, ns) ->
-        entry "    \"%s\": %.1f%s\n" name ns (if i = n - 1 then "" else ","))
-      micro;
-    entry "  }\n";
-    entry "}\n";
-    let oc = open_out json_path in
-    output_string oc (Buffer.contents buf);
-    close_out oc;
-    Printf.printf "results written to %s\n%!" json_path
-  end
-
-let () =
-  run_figures ();
-  (* The figure phase leaves the setup caches holding up to their full
-     word budgets of live templates.  That much live major heap taxes
-     every allocation in the micro section with marking work it never
-     sees in isolation, so snapshot the hit counters, drop the caches
-     and start Bechamel from a compact heap.  The handful of micro
-     setups repopulate what they need. *)
-  let cache = Setup_cache.stats () in
-  Setup_cache.clear ();
-  Gc.compact ();
-  let with_micro = Env.int ~min:0 "RI_MICRO" 1 <> 0 in
-  let micro =
-    if with_micro then run_bechamel (figure_micros () @ core_micros ()) else []
-  in
-  (* Fresh closures for the tail pass: each micro restarts its trial
-     rotation from a cleared cache, exactly like the Bechamel pass. *)
-  let quantiles =
-    if with_micro then run_quantiles (figure_micros () @ core_micros ())
-    else []
-  in
-  let minor_words = if with_micro then run_minor_words () else [] in
-  let scale = run_scale () in
-  write_json
-    ~figures:(List.rev !figure_seconds)
-    ~figure_words:(List.rev !figure_minor_words)
-    ~sections:(List.rev !section_seconds)
-    ~cache ~micro ~minor_words ~quantiles ~scale

@@ -1015,20 +1015,6 @@ let explain_cmd =
        $ jsonl_t))
 
 let report_cmd =
-  let bench_t =
-    let doc =
-      "BENCH_results.json to summarize (defaults to ./BENCH_results.json \
-       when present)."
-    in
-    Arg.(value & opt (some string) None & info [ "bench" ] ~docv:"FILE" ~doc)
-  in
-  let baseline_t =
-    let doc =
-      "Committed bench baseline; adds the regression-gate table (threshold \
-       from $(b,RI_BENCH_THRESHOLD), default 15%)."
-    in
-    Arg.(value & opt (some string) None & info [ "baseline" ] ~docv:"FILE" ~doc)
-  in
   let decisions_file_t =
     let doc = "Decision JSONL from $(b,--decisions); adds routing-quality tables." in
     Arg.(value & opt (some string) None & info [ "decisions" ] ~docv:"FILE" ~doc)
@@ -1063,7 +1049,7 @@ let report_cmd =
       value & flag
       & info [ "html" ] ~doc:"Render a self-contained HTML page instead of Markdown.")
   in
-  let run bench baseline decisions metrics_file traffic timeline out html =
+  let run decisions metrics_file traffic timeline out html =
     let module D = Ri_experiments.Dashboard in
     let tables = ref [] in
     let errors = ref [] in
@@ -1073,46 +1059,6 @@ let report_cmd =
         errors := Printf.sprintf "%s: %s does not exist" label path :: !errors
       else f (read_file path)
     in
-    let bench =
-      match bench with
-      | Some _ -> bench
-      | None ->
-          if Sys.file_exists "BENCH_results.json" then
-            Some "BENCH_results.json"
-          else None
-    in
-    (match bench with
-    | None -> ()
-    | Some path ->
-        with_input "--bench" path (fun text ->
-            match Ri_util.Json.parse text with
-            | Error e -> errors := Printf.sprintf "%s: %s" path e :: !errors
-            | Ok j -> (
-                add (D.of_bench j);
-                match baseline with
-                | None -> ()
-                | Some bpath ->
-                    with_input "--baseline" bpath (fun btext ->
-                        match Ri_util.Json.parse btext with
-                        | Error e ->
-                            errors :=
-                              Printf.sprintf "%s: %s" bpath e :: !errors
-                        | Ok b -> (
-                            let threshold =
-                              Ri_util.Env.float "RI_BENCH_THRESHOLD"
-                                Ri_experiments.Regress.default_threshold
-                            in
-                            match
-                              Ri_experiments.Regress.compare_values ~threshold
-                                ~gate_p99:(Ri_util.Env.bool "RI_BENCH_P99" false)
-                                ~baseline:b ~results:j
-                            with
-                            | Error e -> errors := e :: !errors
-                            | Ok o -> add [ D.of_regression o ])))));
-    (match baseline with
-    | Some _ when bench = None ->
-        errors := "--baseline given without a --bench results file" :: !errors
-    | _ -> ());
     (match decisions with
     | None -> ()
     | Some path ->
@@ -1162,14 +1108,12 @@ let report_cmd =
   Cmd.v
     (Cmd.info "report"
        ~doc:
-         "Aggregate run artifacts (bench results, decision provenance, \
-          metrics, traffic sweeps and timelines) into a Markdown or HTML \
-          dashboard, optionally with the bench regression gate against a \
-          committed baseline")
+         "Aggregate run artifacts (decision provenance, metrics, traffic \
+          sweeps and timelines) into a Markdown or HTML dashboard")
     Term.(
       ret
-        (const run $ bench_t $ baseline_t $ decisions_file_t $ metrics_file_t
-       $ traffic_file_t $ timeline_file_t $ out_t $ html_t))
+        (const run $ decisions_file_t $ metrics_file_t $ traffic_file_t
+       $ timeline_file_t $ out_t $ html_t))
 
 let chaos_cmd =
   let nodes_t =

@@ -1,8 +1,8 @@
 (* Offline observability dashboard.
 
-   Aggregates whatever artifacts a run produced — BENCH_results.json,
-   Decision JSONL, a Prometheus metrics dump, a regression-gate outcome
-   — into tables, rendered as Markdown or a self-contained HTML page.
+   Aggregates whatever artifacts a run produced — Decision JSONL, a
+   Prometheus metrics dump, a traffic sweep and its timeline — into
+   tables, rendered as Markdown or a self-contained HTML page.
    Each [of_*] ingester is independent: the report shows the sections it
    was given inputs for and nothing else. *)
 
@@ -210,99 +210,6 @@ let of_metrics text =
         rows;
         notes = [];
       }
-
-(* ------------------------------------------------------------------ *)
-(* BENCH_results.json -> timing tables.                                 *)
-
-let num_rows json name fmt =
-  match Json.member name json with
-  | Some (Json.Obj kvs) ->
-      List.filter_map
-        (fun (k, v) ->
-          match Json.to_float v with
-          | Some f -> Some [ k; cell_f fmt f ]
-          | None -> None)
-        kvs
-  | _ -> []
-
-let of_bench_config json =
-  match Json.member "config" json with
-  | Some (Json.Obj kvs) ->
-      let rows = List.map (fun (k, v) -> [ k; Json.render v ]) kvs in
-      Some
-        {
-          title = "Bench config";
-          header = [ "key"; "value" ];
-          rows;
-          notes = [];
-        }
-  | _ -> None
-
-let of_bench json =
-  let tables = ref [] in
-  let add t = tables := t :: !tables in
-  let micro = num_rows json "micro_ns_per_run" "%.1f" in
-  if micro <> [] then
-    add
-      {
-        title = "Microbenchmarks";
-        header = [ "micro"; "ns/run" ];
-        rows = List.sort compare micro;
-        notes = [];
-      };
-  let figures = num_rows json "figures_wall_clock_s" "%.3f" in
-  if figures <> [] then
-    add
-      {
-        title = "Figure wall clock";
-        header = [ "figure"; "seconds" ];
-        rows = figures;
-        notes = [];
-      };
-  (match Json.member "phase_seconds" json with
-  | Some (Json.Obj kvs) ->
-      let rows =
-        List.filter_map
-          (fun (k, v) ->
-            match
-              ( Option.bind (Json.member "samples" v) Json.to_int,
-                Option.bind (Json.member "total_s" v) Json.to_float )
-            with
-            | Some n, Some s ->
-                Some [ k; string_of_int n; cell_f "%.3f" s ]
-            | _ -> None)
-          kvs
-      in
-      if rows <> [] then
-        add
-          {
-            title = "Phase timings";
-            header = [ "phase"; "samples"; "total s" ];
-            rows;
-            notes = [];
-          }
-  | _ -> ());
-  let notes =
-    match Json.member "meta" json with
-    | Some (Json.Obj kvs) ->
-        List.filter_map
-          (fun (k, v) ->
-            match v with
-            | Json.Str s -> Some (Printf.sprintf "%s: %s" k s)
-            | Json.Num _ -> (
-                match Json.to_float v with
-                | Some f -> Some (Printf.sprintf "%s: %g" k f)
-                | None -> None)
-            | _ -> None)
-          kvs
-    | _ -> []
-  in
-  (match of_bench_config json with
-  | Some t -> add t
-  | None -> ());
-  match List.rev !tables with
-  | [] -> []
-  | first :: rest -> { first with notes = first.notes @ notes } :: rest
 
 (* ------------------------------------------------------------------ *)
 (* risim traffic JSON -> knee chart, decomposition bars, hotspots.      *)
@@ -570,31 +477,6 @@ let of_timeline text =
              the bin; times are logical.";
           ];
       }
-
-(* ------------------------------------------------------------------ *)
-(* Regression gate -> table.                                            *)
-
-let of_regression (o : Regress.outcome) =
-  let row suffix (v : Regress.verdict) =
-    [
-      v.name ^ suffix;
-      cell_f "%.1f" v.baseline_ns;
-      cell_f "%.1f" v.current_ns;
-      cell_f "%+.1f%%" ((v.ratio -. 1.) *. 100.);
-      (if v.regressed then "REGRESSED" else "ok");
-    ]
-  in
-  {
-    title = "Regression gate";
-    header = [ "micro"; "baseline ns"; "current ns"; "delta"; "verdict" ];
-    rows =
-      List.map (row "") o.verdicts
-      @ List.map (fun n -> [ n; "-"; "-"; "-"; "missing" ]) o.missing
-      @ List.map (row " (p99)") o.p99_verdicts;
-    notes =
-      Printf.sprintf "Threshold: +%.0f%% per microbenchmark." o.threshold
-      :: (match o.p99_note with Some n -> [ n ] | None -> []);
-  }
 
 (* ------------------------------------------------------------------ *)
 (* Rendering.                                                           *)

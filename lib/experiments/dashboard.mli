@@ -1,11 +1,11 @@
-(** Offline observability dashboard: aggregate run artifacts —
-    [BENCH_results.json], Decision JSONL, a Prometheus metrics dump, a
-    regression-gate outcome — into tables rendered as Markdown or a
-    self-contained HTML page.
+(** Offline observability dashboard: aggregate run artifacts — Decision
+    JSONL, a Prometheus metrics dump, a traffic sweep and its timeline —
+    into tables rendered as Markdown or a self-contained HTML page.
 
-    Each ingester is independent and total: it returns [None] (or [[]])
-    on input it cannot use rather than failing, so the report simply
-    shows the sections it was given valid inputs for. *)
+    Each ingester is independent.  {!of_decisions} and {!of_metrics}
+    return [None] on input they cannot use rather than failing, so the
+    report simply shows the sections it was given valid inputs for; the
+    traffic ingesters are strict (see {!of_traffic}). *)
 
 type table = {
   title : string;
@@ -38,15 +38,6 @@ val of_timeline : string -> (table, string) result
 (** A per-(unit, trial) bin table from timeline JSONL (see
     {!Ri_obs.Observatory.render_jsonl}); strict like {!of_traffic},
     with errors naming the offending line. *)
-
-val of_bench : Ri_util.Json.t -> table list
-(** Tables from a parsed BENCH_results.json: microbenchmark ns/run,
-    figure wall-clock seconds, phase timings and the run config, with
-    any [meta] entries (git commit, timestamp, host) as notes. *)
-
-val of_bench_config : Ri_util.Json.t -> table option
-
-val of_regression : Regress.outcome -> table
 
 val render_markdown : title:string -> table list -> string
 

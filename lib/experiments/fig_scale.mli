@@ -97,7 +97,7 @@ val compress_report_of : point list -> Report.t
     empty-bodied when none were. *)
 
 val json_of : point list -> string
-(** The points as a JSON array, for [BENCH_results.json]; optional
+(** The points as a JSON array, for [risim scale --json]; optional
     measurements serialize as [null] (or a nested ["compress"]
     object). *)
 

@@ -16,10 +16,6 @@ let m_converged =
 
 let default_spec = { min_trials = 5; max_trials = 30; target_rel_error = 0.1 }
 
-let spec_of_env () =
-  let m = Env.int ~min:1 "RI_TRIALS" default_spec.max_trials in
-  { default_spec with max_trials = m; min_trials = min default_spec.min_trials m }
-
 (* Trials run in waves so the adaptive stopping rule stays deterministic
    under parallel execution: the first wave is [min_trials], every later
    wave is a fixed-size batch, and convergence is only checked at wave

@@ -11,7 +11,11 @@
     fixed-size batches, and the CI stopping rule is evaluated only at
     wave boundaries, with observations folded in trial-index order.
     Wave shape never depends on the pool width, which makes parallel
-    and sequential runs bit-identical for the same spec. *)
+    and sequential runs bit-identical for the same spec.
+
+    The spec is always the caller's: no environment variable changes
+    it (the bench harness derives its [max_trials] from [RI_TRIALS]
+    itself). *)
 
 type spec = {
   min_trials : int;
@@ -21,11 +25,6 @@ type spec = {
 
 val default_spec : spec
 (** 5 to 30 trials, 10% target relative error. *)
-
-val spec_of_env : unit -> spec
-(** [default_spec], with [max_trials] overridden by the [RI_TRIALS]
-    environment variable when set (useful to trade precision for bench
-    wall-clock). *)
 
 val run : ?pool:Ri_util.Pool.t -> spec -> (trial:int -> float) -> Ri_util.Stats.summary
 (** Call the trial function with [trial = 0, 1, ...] in waves until the

@@ -1,8 +1,8 @@
 (* Strict recursive-descent JSON parser and printer helpers.
 
    The toolchain ships no JSON library, and the observability plane both
-   emits JSON (traces, decision records, bench results) and consumes it
-   (the regression gate, the report dashboard, export-validity tests).
+   emits JSON (traces, decision records, traffic sweeps) and consumes it
+   (the report dashboard, the ledger, export-validity tests).
    This parser is deliberately strict — RFC 8259 grammar only, no
    NaN/Infinity literals, no trailing garbage — so a malformed export
    fails a test instead of parsing by accident. *)

@@ -1,8 +1,8 @@
 (** Strict JSON parsing and printing.
 
     A minimal RFC 8259 recursive-descent parser for the observability
-    plane: the bench regression gate reads [BENCH_results.json], the
-    report dashboard reads bench/decision/trace exports, and the test
+    plane: the report dashboard reads decision, traffic and timeline
+    exports, the ledger reads and writes its result files, and the test
     suite validates that every emitted trace line is well-formed.
     Strict means strict — no trailing garbage, no bare control
     characters, no NaN/Infinity literals — so a malformed export is a

@@ -1,8 +1,7 @@
 (* Provenance plane: decision-record semantics against the oracle,
-   update-wave lineage stamps, the explain/summarize analyzers, the
-   report dashboard ingesters, and the bench regression gate. *)
+   update-wave lineage stamps, the explain/summarize analyzers and the
+   report dashboard ingesters. *)
 
-open Ri_util
 open Ri_content
 open Ri_core
 open Ri_topology
@@ -247,83 +246,6 @@ let test_dashboard_renderers () =
     (Astring.String.is_infix ~affix:"No inputs given"
        (D.render_markdown ~title:"R" []))
 
-let test_dashboard_of_bench () =
-  let j =
-    Json.parse_exn
-      {|{"meta": {"git_commit": "abc"},
-         "config": {"nodes": 2000, "jobs": 4},
-         "micro_ns_per_run": {"m1": 100.5, "m2": 200.0},
-         "figures_wall_clock_s": {"fig13": 1.25}}|}
-  in
-  let tables = Ri_experiments.Dashboard.of_bench j in
-  Alcotest.(check bool) "has tables" true (tables <> []);
-  let all_rows = List.concat_map (fun t -> t.Ri_experiments.Dashboard.rows) tables in
-  Alcotest.(check bool) "micro row present" true
-    (List.exists (fun r -> List.mem "m1" r) all_rows);
-  Alcotest.(check bool) "figure row present" true
-    (List.exists (fun r -> List.mem "fig13" r) all_rows);
-  let notes = List.concat_map (fun t -> t.Ri_experiments.Dashboard.notes) tables in
-  Alcotest.(check bool) "meta surfaced as a note" true
-    (List.exists (fun n -> Astring.String.is_infix ~affix:"abc" n) notes)
-
-(* ------------------------------------------------------------------ *)
-(* Regression gate.                                                    *)
-
-let baseline_json =
-  {|{"micro_ns_per_run": {"a": 100.0, "b": 200.0, "c": 300.0}}|}
-
-let results_json =
-  (* a: +10% (within the default 15%), b: +30% (regressed), c missing. *)
-  {|{"micro_ns_per_run": {"a": 110.0, "b": 260.0, "d": 5.0}}|}
-
-let test_regress_flags_regression () =
-  let module R = Ri_experiments.Regress in
-  match R.compare ~baseline:baseline_json ~results:results_json () with
-  | Error e -> Alcotest.failf "gate errored: %s" e
-  | Ok o ->
-      Alcotest.(check bool) "regression detected" true (R.any_regressed o);
-      let find n = List.find (fun v -> v.R.name = n) o.R.verdicts in
-      Alcotest.(check bool) "a within threshold" false (find "a").R.regressed;
-      Alcotest.(check bool) "b over threshold" true (find "b").R.regressed;
-      Alcotest.(check (list string)) "missing micro reported" [ "c" ]
-        o.R.missing;
-      Alcotest.(check bool) "new-only micro ignored" true
-        (List.for_all (fun v -> v.R.name <> "d") o.R.verdicts);
-      let text = R.render o in
-      Alcotest.(check bool) "render marks the regression" true
-        (Astring.String.is_infix ~affix:"REGRESSED" text);
-      Alcotest.(check bool) "render fails overall" true
-        (Astring.String.is_infix ~affix:"FAIL" text)
-
-let test_regress_threshold_override () =
-  let module R = Ri_experiments.Regress in
-  match
-    R.compare ~threshold:50. ~baseline:baseline_json ~results:results_json ()
-  with
-  | Error e -> Alcotest.failf "gate errored: %s" e
-  | Ok o ->
-      Alcotest.(check bool) "+30% passes a 50% threshold" false
-        (R.any_regressed o)
-
-let test_regress_identical_ok () =
-  let module R = Ri_experiments.Regress in
-  match R.compare ~baseline:baseline_json ~results:baseline_json () with
-  | Error e -> Alcotest.failf "gate errored: %s" e
-  | Ok o ->
-      Alcotest.(check bool) "identical results pass" false (R.any_regressed o);
-      Alcotest.(check bool) "nothing missing" true (o.R.missing = [])
-
-let test_regress_rejects_bad_input () =
-  let module R = Ri_experiments.Regress in
-  (match R.compare ~baseline:"{}" ~results:results_json () with
-  | Error e ->
-      Alcotest.(check bool) "explains the missing section" true
-        (Astring.String.is_infix ~affix:"micro_ns_per_run" e)
-  | Ok _ -> Alcotest.fail "accepted a baseline without micros");
-  match R.compare ~baseline:"not json" ~results:results_json () with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted unparseable baseline"
-
 let suite =
   ( "provenance",
     [
@@ -341,14 +263,4 @@ let suite =
       Alcotest.test_case "dashboard ingests decisions" `Quick
         test_dashboard_of_decisions;
       Alcotest.test_case "dashboard renderers" `Quick test_dashboard_renderers;
-      Alcotest.test_case "dashboard ingests bench json" `Quick
-        test_dashboard_of_bench;
-      Alcotest.test_case "regress flags a regression" `Quick
-        test_regress_flags_regression;
-      Alcotest.test_case "regress threshold override" `Quick
-        test_regress_threshold_override;
-      Alcotest.test_case "regress passes identical results" `Quick
-        test_regress_identical_ok;
-      Alcotest.test_case "regress rejects bad input" `Quick
-        test_regress_rejects_bad_input;
     ] )
