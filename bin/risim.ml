@@ -191,7 +191,8 @@ let jobs_t =
 let apply_jobs jobs = if jobs > 0 then Ri_util.Pool.set_global_jobs jobs
 
 (* ------------------------------------------------------------------ *)
-(* Observability options (shared by run/all/query/update).             *)
+(* Export options: one term shared by run, all, query, update, scale    *)
+(* and traffic.                                                        *)
 
 let metrics_t =
   let doc =
@@ -268,6 +269,26 @@ let serve_obs_t =
   in
   Arg.(value & opt (some int) None & info [ "serve-obs" ] ~docv:"PORT" ~doc)
 
+(* The export flags every simulating subcommand shares, parsed by one
+   term. *)
+type obs = {
+  metrics : string option;
+  trace : string option;
+  trace_fmt : [ `Jsonl | `Chrome ];
+  decisions : string option;
+  spans : string option;
+  span_fmt : [ `Jsonl | `Chrome | `Otlp ];
+  serve : int option;
+}
+
+let obs_t =
+  let make metrics trace trace_fmt decisions spans span_fmt serve =
+    { metrics; trace; trace_fmt; decisions; spans; span_fmt; serve }
+  in
+  Term.(
+    const make $ metrics_t $ trace_t $ trace_format_t $ decisions_t $ spans_t
+    $ span_format_t $ serve_obs_t)
+
 (* Atomic replace so a concurrent scrape of the file never reads a
    half-written exposition. *)
 let write_metrics_file file =
@@ -281,47 +302,25 @@ let write_metrics_file file =
     Sys.rename tmp file
   end
 
-(* RI_OBS_FLUSH_SEC=N flushes the --metrics file every N seconds from a
-   helper domain, so a long sweep's metrics are scrapeable mid-run even
-   without --serve-obs.  Sleeping in short steps keeps shutdown prompt. *)
-let start_flusher metrics =
-  let period = Ri_util.Env.float ~min:0.01 "RI_OBS_FLUSH_SEC" 0. in
-  match metrics with
-  | Some file when file <> "-" && period > 0. ->
-      let stop = Atomic.make false in
-      let dom =
-        Domain.spawn (fun () ->
-            while not (Atomic.get stop) do
-              let slept = ref 0. in
-              while (not (Atomic.get stop)) && !slept < period do
-                Unix.sleepf 0.05;
-                slept := !slept +. 0.05
-              done;
-              if not (Atomic.get stop) then
-                try write_metrics_file file with Sys_error _ -> ()
-            done)
-      in
-      Some (stop, dom)
-  | _ -> None
+let export ~what file write =
+  Option.iter
+    (fun file ->
+      write file;
+      Printf.printf "%s written to %s\n" what file)
+    file
 
-let stop_flusher = function
-  | None -> ()
-  | Some (stop, dom) ->
-      Atomic.set stop true;
-      Domain.join dom
-
-(* Enable recording before the run, export files after.  --trace and
-   --spans are two views of one event log, started if either is asked
-   for.  Metrics go out with the cache/pool gauges refreshed so one file
-   carries the whole picture.  The HTTP server and the periodic flusher
-   are torn down even when the run raises. *)
-let with_obs ?(serve = None) ?(spans = None) ?(span_fmt = `Jsonl)
-    ?(timeline = None) metrics trace fmt decisions f =
-  let events = trace <> None || spans <> None in
-  if metrics <> None || serve <> None then Ri_obs.Metrics.set_enabled true;
-  if events then Ri_obs.Span.start ();
-  if decisions <> None then Ri_obs.Decision.start ();
-  if timeline <> None then Ri_obs.Observatory.start ();
+(* Record the kinds the flags ask for during the run, and write the
+   export files after it.  --trace and --spans are two views of the
+   events.  Metrics go out with the cache/pool gauges refreshed so one
+   file carries the whole picture.  The HTTP server is torn down even
+   when the run raises; a run that raises writes no file. *)
+let with_obs ?(timeline = None) o f =
+  if o.metrics <> None || o.serve <> None then Ri_obs.Metrics.set_enabled true;
+  let asked file kind = if file <> None then [ kind ] else [] in
+  Ri_obs.Span.start
+    (asked (if o.trace <> None then o.trace else o.spans) Ri_obs.Span.Events
+    @ asked o.decisions Ri_obs.Span.Decisions
+    @ asked timeline Ri_obs.Span.Timeline);
   let server =
     Option.map
       (fun port ->
@@ -330,49 +329,31 @@ let with_obs ?(serve = None) ?(spans = None) ?(span_fmt = `Jsonl)
           "obs endpoint: http://127.0.0.1:%d (/metrics /progress /traffic /healthz)\n%!"
           (Ri_obs.Serve.port s);
         s)
-      serve
+      o.serve
   in
-  let flusher = start_flusher metrics in
   let result =
     Fun.protect
       ~finally:(fun () ->
-        stop_flusher flusher;
+        Ri_obs.Span.stop ();
         Option.iter Ri_obs.Serve.stop server)
       f
   in
-  if events then Ri_obs.Span.stop ();
-  (match trace with
-  | None -> ()
-  | Some file ->
-      (match fmt with
-      | `Jsonl -> Ri_obs.Span.export_flat_jsonl file
-      | `Chrome -> Ri_obs.Span.export_flat_chrome file);
-      Printf.printf "trace written to %s\n" file);
-  (match decisions with
-  | None -> ()
-  | Some file ->
-      Ri_obs.Decision.stop ();
-      Ri_obs.Decision.export_jsonl file;
-      Printf.printf "decisions written to %s\n" file);
-  (match spans with
-  | None -> ()
-  | Some file ->
-      (match span_fmt with
-      | `Jsonl -> Ri_obs.Span.export_jsonl file
-      | `Chrome -> Ri_obs.Span.export_chrome file
-      | `Otlp -> Ri_obs.Span.export_otlp file);
-      Printf.printf "spans written to %s\n" file);
-  (match timeline with
-  | None -> ()
-  | Some file ->
-      Ri_obs.Observatory.stop ();
-      Ri_obs.Observatory.export_jsonl file;
-      Printf.printf "timeline written to %s\n" file);
-  (match metrics with
-  | None -> ()
-  | Some file ->
+  export ~what:"trace" o.trace
+    (match o.trace_fmt with
+    | `Jsonl -> Ri_obs.Span.export_flat_jsonl
+    | `Chrome -> Ri_obs.Span.export_flat_chrome);
+  export ~what:"decisions" o.decisions Ri_obs.Decision.export_jsonl;
+  export ~what:"spans" o.spans
+    (match o.span_fmt with
+    | `Jsonl -> Ri_obs.Span.export_jsonl
+    | `Chrome -> Ri_obs.Span.export_chrome
+    | `Otlp -> Ri_obs.Span.export_otlp);
+  export ~what:"timeline" timeline Ri_obs.Observatory.export_jsonl;
+  Option.iter
+    (fun file ->
       write_metrics_file file;
-      if file <> "-" then Printf.printf "metrics written to %s\n" file);
+      if file <> "-" then Printf.printf "metrics written to %s\n" file)
+    o.metrics;
   result
 
 (* Printed next to the cache/pool summary lines; empty unless the run
@@ -476,10 +457,9 @@ let run_cmd =
     let doc = "Experiment id(s), e.g. fig13 (see `risim list')." in
     Arg.(non_empty & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc)
   in
-  let run ids nodes seed trials rel_error csv_dir jobs metrics trace fmt
-      decisions spans span_fmt serve =
+  let run ids nodes seed trials rel_error csv_dir jobs obs =
     apply_jobs jobs;
-    with_obs ~serve ~spans ~span_fmt metrics trace fmt decisions (fun () ->
+    with_obs obs (fun () ->
         run_experiments ?csv_dir ids nodes seed trials rel_error)
   in
   Cmd.v
@@ -487,30 +467,26 @@ let run_cmd =
     Term.(
       ret
         (const run $ ids_t $ nodes_t $ seed_t $ trials_t $ rel_error_t
-       $ csv_dir_t $ jobs_t $ metrics_t $ trace_t $ trace_format_t
-       $ decisions_t $ spans_t $ span_format_t $ serve_obs_t))
+       $ csv_dir_t $ jobs_t $ obs_t))
 
 let all_cmd =
   let with_extensions_t =
     Arg.(value & flag & info [ "extensions" ] ~doc:"Also run the ablations.")
   in
-  let run nodes seed trials rel_error with_extensions jobs metrics trace fmt
-      decisions spans span_fmt serve =
+  let run nodes seed trials rel_error with_extensions jobs obs =
     apply_jobs jobs;
     let ids =
       Ri_experiments.Registry.ids
       @ if with_extensions then Ri_experiments.Registry.extension_ids else []
     in
-    with_obs ~serve ~spans ~span_fmt metrics trace fmt decisions (fun () ->
-        run_experiments ids nodes seed trials rel_error)
+    with_obs obs (fun () -> run_experiments ids nodes seed trials rel_error)
   in
   Cmd.v
     (Cmd.info "all" ~doc:"Reproduce every figure of the evaluation section")
     Term.(
       ret
         (const run $ nodes_t $ seed_t $ trials_t $ rel_error_t
-       $ with_extensions_t $ jobs_t $ metrics_t $ trace_t $ trace_format_t
-       $ decisions_t $ spans_t $ span_format_t $ serve_obs_t))
+       $ with_extensions_t $ jobs_t $ obs_t))
 
 let print_query_metrics cfg ~nodes ~trial (m : Trial.query_metrics) =
   Printf.printf
@@ -525,7 +501,7 @@ let print_query_metrics cfg ~nodes ~trial (m : Trial.query_metrics) =
 
 let query_cmd =
   let run nodes seed topology search trial loss crash delay drift partition
-      heal_after fault_seed metrics trace fmt decisions spans span_fmt serve =
+      heal_after fault_seed obs =
     let cfg = base_config nodes seed in
     let cfg = Config.with_topology cfg topology in
     let cfg = Config.with_search cfg (search_of cfg search) in
@@ -534,18 +510,12 @@ let query_cmd =
     match Config.validate cfg with
     | Error msg -> `Error (false, msg)
     | Ok () when not (Ri_p2p.Fault.active fault) ->
-        let m =
-          with_obs ~serve ~spans ~span_fmt metrics trace fmt decisions
-            (fun () -> Trial.run_query cfg ~trial)
-        in
+        let m = with_obs obs (fun () -> Trial.run_query cfg ~trial) in
         print_query_metrics cfg ~nodes ~trial m;
         print_gc_table ();
         `Ok ()
     | Ok () ->
-        let m =
-          with_obs ~serve ~spans ~span_fmt metrics trace fmt decisions
-            (fun () -> Trial.run_query_faulty cfg ~trial)
-        in
+        let m = with_obs obs (fun () -> Trial.run_query_faulty cfg ~trial) in
         print_query_metrics cfg ~nodes ~trial m.Trial.f_query;
         let st = m.Trial.f_stats in
         Printf.printf
@@ -572,9 +542,7 @@ let query_cmd =
       ret
         (const run $ nodes_t $ seed_t $ topology_t $ search_t $ trial_t
        $ fault_loss_t $ fault_crash_t $ fault_delay_t $ fault_drift_t
-       $ fault_partition_t $ fault_heal_waves_t $ fault_seed_t
-       $ metrics_t $ trace_t $ trace_format_t $ decisions_t $ spans_t
-       $ span_format_t $ serve_obs_t))
+       $ fault_partition_t $ fault_heal_waves_t $ fault_seed_t $ obs_t))
 
 let topology_cmd =
   let run nodes seed topology =
@@ -613,18 +581,14 @@ let topology_cmd =
     Term.(const run $ nodes_t $ seed_t $ topology_t)
 
 let update_cmd =
-  let run nodes seed topology search trial metrics trace fmt decisions spans
-      span_fmt serve =
+  let run nodes seed topology search trial obs =
     let cfg = base_config nodes seed in
     let cfg = Config.with_topology cfg topology in
     let cfg = Config.with_search cfg (search_of cfg search) in
     match Config.validate cfg with
     | Error msg -> `Error (false, msg)
     | Ok () ->
-        let m =
-          with_obs ~serve ~spans ~span_fmt metrics trace fmt decisions
-            (fun () -> Trial.run_update cfg ~trial)
-        in
+        let m = with_obs obs (fun () -> Trial.run_update cfg ~trial) in
         Printf.printf
           "search=%s topology=%s nodes=%d trial=%d\n\
            update_messages=%d bytes=%.0f wire_bytes=%d\n"
@@ -643,8 +607,7 @@ let update_cmd =
     Term.(
       ret
         (const run $ nodes_t $ seed_t $ topology_t $ search_t $ trial_t
-       $ metrics_t $ trace_t $ trace_format_t $ decisions_t $ spans_t
-       $ span_format_t $ serve_obs_t))
+       $ obs_t))
 
 let scale_cmd =
   let sizes_t =
@@ -696,7 +659,7 @@ let scale_cmd =
     Arg.(value & flag & info [ "par-compare" ] ~doc)
   in
   let run nodes seed trials rel_error sizes json big compress snapshot
-      par_compare jobs metrics trace fmt decisions spans span_fmt serve =
+      par_compare jobs obs =
     apply_jobs jobs;
     let base = base_config nodes seed in
     let spec = spec_of trials rel_error in
@@ -720,14 +683,14 @@ let scale_cmd =
         o_par_compare = par_compare;
       }
     in
-    let swept =
-      with_obs ~serve ~spans ~span_fmt metrics trace fmt decisions (fun () ->
-          try Ok (Ri_experiments.Fig_scale.sweep ?sizes ~opts ~base ~spec ())
-          with Invalid_argument msg -> Error msg)
-    in
-    match swept with
-    | Error msg -> `Error (false, msg)
-    | Ok points ->
+    (* A refused sweep raises out of [with_obs] before it writes (or
+       truncates) any export file. *)
+    match
+      with_obs obs (fun () ->
+          Ri_experiments.Fig_scale.sweep ?sizes ~opts ~base ~spec ())
+    with
+    | exception Invalid_argument msg -> `Error (false, msg)
+    | points ->
         Ri_experiments.Report.print
           (Ri_experiments.Fig_scale.report_of points);
         if compress <> None then
@@ -765,8 +728,7 @@ let scale_cmd =
       ret
         (const run $ nodes_t $ seed_t $ trials_t $ rel_error_t $ sizes_t
        $ json_t $ big_t $ compress_t $ snapshot_t $ par_compare_t $ jobs_t
-       $ metrics_t $ trace_t $ trace_format_t $ decisions_t $ spans_t
-       $ span_format_t $ serve_obs_t))
+       $ obs_t))
 
 let traffic_cmd =
   let module T = Ri_experiments.Traffic in
@@ -871,13 +833,21 @@ let traffic_cmd =
   in
   let run nodes seed topology search qps duration service_rate link_latency
       update_rate zipf shift_every trials snapshot json hotspots timeline_bins
-      timeline jobs metrics trace fmt decisions spans span_fmt serve =
+      timeline jobs obs =
     apply_jobs jobs;
     let cfg = base_config nodes seed in
     let cfg = Config.with_topology cfg topology in
     let cfg = Config.with_search cfg (search_of cfg search) in
     match Config.validate cfg with
     | Error msg -> `Error (false, msg)
+    | Ok () when obs.decisions <> None ->
+        (* The engine-driven walks get no decision sink: interleaved in
+           one trial, their records would carry no query key to tell
+           them apart. *)
+        `Error
+          ( false,
+            "traffic: --decisions is not supported (engine-driven walks \
+             record no routing decisions; use risim run, query or explain)" )
     | Ok () -> (
         let opts =
           {
@@ -894,15 +864,11 @@ let traffic_cmd =
             o_timeline_bins = timeline_bins;
           }
         in
-        let swept =
-          with_obs ~serve ~spans ~span_fmt ~timeline metrics trace fmt
-            decisions (fun () ->
-              try Ok (T.sweep ~opts cfg ())
-              with Invalid_argument msg | Sys_error msg -> Error msg)
-        in
-        match swept with
-        | Error msg -> `Error (false, msg)
-        | Ok points ->
+        (* A refused sweep raises out of [with_obs] before it writes (or
+           truncates) any export file. *)
+        match with_obs ~timeline obs (fun () -> T.sweep ~opts cfg ()) with
+        | exception (Invalid_argument msg | Sys_error msg) -> `Error (false, msg)
+        | points ->
             Ri_experiments.Report.print (T.report_of points);
             if opts.T.o_hotspots > 0 then
               Ri_experiments.Report.print (T.hotspots_report_of points);
@@ -941,8 +907,7 @@ let traffic_cmd =
         (const run $ nodes_t $ seed_t $ topology_t $ search_t $ qps_t
        $ duration_t $ service_rate_t $ link_latency_t $ update_rate_t $ zipf_t
        $ shift_every_t $ trials_t $ snapshot_t $ json_t $ hotspots_t
-       $ timeline_bins_t $ timeline_t $ jobs_t $ metrics_t $ trace_t
-       $ trace_format_t $ decisions_t $ spans_t $ span_format_t $ serve_obs_t))
+       $ timeline_bins_t $ timeline_t $ jobs_t $ obs_t))
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -985,13 +950,13 @@ let explain_cmd =
         | Config.Ri _ | Config.No_ri ->
             (* Replay exactly the trial the figures would run, with the
                provenance recorder on for just this data point. *)
-            Ri_obs.Decision.clear ();
-            Ri_obs.Decision.start ();
-            Ri_obs.Decision.next_unit ();
+            Ri_obs.Span.clear ();
+            Ri_obs.Span.start [ Ri_obs.Span.Decisions ];
+            Ri_obs.Span.next_unit ();
             (if Ri_p2p.Fault.active fault then
                ignore (Trial.run_query_faulty cfg ~trial)
              else ignore (Trial.run_query cfg ~trial));
-            Ri_obs.Decision.stop ();
+            Ri_obs.Span.stop ();
             let groups = Ri_obs.Decision.records () in
             write_or_print ~what:"explanation" out
               (Ri_experiments.Explain.render groups);

@@ -202,12 +202,14 @@ let validate_opts opts =
    run every query as a Step machine whose messages ride the engine's
    mailboxes, and optionally inject update waves as in-flight message
    streams sharing the same mailboxes.  Single-threaded on one engine:
-   the event order is fully determined by (seed, trial, seq).  When the
-   event log is on, each query and each wave is a root span over its
-   messages, through the trial bodies' own hooks. *)
+   the event order is fully determined by (seed, trial, seq).  The
+   trial's one log sink takes its events — each query and each wave a
+   root span over its messages, through the trial bodies' own hooks —
+   and its timeline bins, each only when that kind is on.  The walks
+   get no decision sink: interleaved in one trial, their records would
+   carry no query key to tell them apart. *)
 let simulate (cfg : Config.t) ~opts ~qps ~trial =
   Span.with_trial ~trial (fun sink ->
-  Observatory.with_trial ~trial (fun osink ->
       let setup =
         match opts.o_snapshot with
         | Some path -> Snapshot.load path cfg ~trial
@@ -234,12 +236,11 @@ let simulate (cfg : Config.t) ~opts ~qps ~trial =
       let sketch = Sketch.create () in
       let decomp = Observatory.decomp_zero () in
       let acc = Observatory.acc_create n in
-      (* Timeline: one fixed-bin ring per trial, flushed into the keyed
-         log after the engine drains.  When recording is off the sink
-         is dead and this stays None — the only per-event cost is the
-         option branch below. *)
+      (* Timeline: one fixed-bin ring per trial, flushed into the log
+         after the engine drains.  When the kind is off this stays
+         None — the only per-event cost is the option branch below. *)
       let timeline =
-        if Observatory.is_live osink then
+        if Observatory.is_live sink then
           Some
             (Observatory.Timeline.create ~bins:opts.o_timeline_bins
                ~width_ns:(max 1 (horizon_ns / opts.o_timeline_bins)))
@@ -473,7 +474,7 @@ let simulate (cfg : Config.t) ~opts ~qps ~trial =
         acc.Observatory.a_peak.(v) <- s.Engine.s_peak
       done;
       (match timeline with
-      | Some tl -> Observatory.Timeline.flush tl osink
+      | Some tl -> Observatory.Timeline.flush tl sink
       | None -> ());
       if Metrics.enabled () then begin
         Metrics.add m_arrivals !arrivals;
@@ -499,7 +500,7 @@ let simulate (cfg : Config.t) ~opts ~qps ~trial =
         r_sketch = sketch;
         r_decomp = decomp;
         r_nodes = acc;
-      }))
+      })
 
 let ms_of_ns ns = 1000. *. Engine.to_seconds ns
 
@@ -580,9 +581,7 @@ let measure ?(opts = default_opts) (cfg : Config.t) ~qps =
   (* One observability unit per data point, bumped on the submitting
      domain (the Runner's rule), so trial keys never depend on the pool
      width and traces stay byte-identical at any --jobs. *)
-  Decision.next_unit ();
   Span.next_unit ();
-  Observatory.next_unit ();
   Serve.Progress.begin_run
     ~label:(Printf.sprintf "traffic qps=%g" qps)
     ~total:opts.o_trials ();

@@ -9,12 +9,12 @@
     row, and the follow / backtrack / timeout / stop skeleton of the
     walk.
 
-    Records obey the same [(unit, trial)] logical-tick merge rule as
-    the {!Span} event log (both instantiate {!Keyed_log}), so Decision
-    output is byte-identical at any [--jobs] width.  Recording is off by
-    default; when off, {!with_trial} hands out {!null} and every capture
-    site is one [is_live] branch, keeping the query hot path
-    unchanged. *)
+    Records are the [Decisions] entries of the per-trial {!Span} log:
+    they are recorded when [Span.start] names [Decisions], into the
+    trial's one sink, and merge by the log's [(unit, trial)] rule, so
+    Decision output is byte-identical at any [--jobs] width.  When the
+    kind is off, every capture site is one {!is_live} branch, keeping
+    the query hot path unchanged. *)
 
 type candidate = {
   peer : int;
@@ -65,36 +65,13 @@ type record =
       visited : int;
     }
 
-type sink
+val is_live : Span.sink -> bool
+(** Whether the sink records decisions — lets capture sites (including
+    the per-candidate oracle BFS) skip all work when provenance is
+    off. *)
 
-val null : sink
-(** Swallows everything; what {!with_trial} passes when not recording. *)
-
-val is_live : sink -> bool
-(** [false] on {!null} — lets capture sites (including the per-candidate
-    oracle BFS) skip all work when provenance is off. *)
-
-val recording : unit -> bool
-
-val start : unit -> unit
-
-val stop : unit -> unit
-(** Stop recording; already-collected records are kept for export. *)
-
-val clear : unit -> unit
-(** Drop all records and reset the unit counter. *)
-
-val next_unit : unit -> unit
-(** Called by the trial runner before each data point; no-op when not
-    recording.  Independent of {!Span.next_unit}. *)
-
-val with_trial : trial:int -> (sink -> 'a) -> 'a
-(** Run a trial body with a fresh sink; on exit the buffer merges into
-    the store under [(current unit, trial)], same-key calls appending in
-    call order — {!Span.with_trial}'s exact rule. *)
-
-val emit : sink -> record -> unit
-(** Buffer one record.  No-op on a dead sink. *)
+val emit : Span.sink -> record -> unit
+(** Buffer one record.  No-op unless the sink records decisions. *)
 
 val records : unit -> ((int * int) * record list) list
 (** Merged snapshot, sorted by [(unit, trial)]. *)

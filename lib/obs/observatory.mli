@@ -5,11 +5,12 @@
     The open-loop driver ({!Ri_experiments.Traffic}) reports merged
     end-to-end quantiles; this module breaks them open.  Everything is
     stamped in logical nanoseconds and buffered per trial, so every
-    rendered artifact is a pure function of [(seed, trial)] — the
-    timeline JSONL merges by [(unit, trial)] through {!Keyed_log}
-    exactly like {!Span} and {!Decision}, and is byte-identical at any
-    [--jobs] width.  Timeline recording is off by default; when off, a
-    capture site costs one [is_live] load and branch.
+    rendered artifact is a pure function of [(seed, trial)] — timeline
+    bins are the [Timeline] entries of the per-trial {!Span} log, merge
+    by its [(unit, trial)] rule like the events and {!Decision}
+    records, and are byte-identical at any [--jobs] width.  Timeline
+    recording is off by default; when off, a capture site costs one
+    [is_live] load and branch.
 
     {b Decomposition invariant.}  A completed query's end-to-end
     latency is the exact integer sum of its per-hop components:
@@ -91,31 +92,10 @@ val hotspot_json : hotspot -> string
 (** One strict-JSON object — the rows of the traffic JSON's
     [q_hotspots] section. *)
 
-(** {2 Recording gate}
-
-    The shared {!Keyed_log} contract: buffer per trial, merge by
-    [(unit, trial)], render deterministically. *)
-
-type sink
-
-val null : sink
-
-val is_live : sink -> bool
-
-val recording : unit -> bool
-
-val start : unit -> unit
-
-val stop : unit -> unit
-
-val next_unit : unit -> unit
-(** Bump once per sweep point, on the submitting domain. *)
-
-val clear : unit -> unit
-
-val with_trial : trial:int -> (sink -> 'a) -> 'a
-
 (** {2 Timeline} *)
+
+val is_live : Span.sink -> bool
+(** Whether the trial's sink records timeline bins. *)
 
 (** One exported timeline bin: activity within
     [[t_start_ns, t_start_ns + t_width_ns)]; aggregate depth is the
@@ -145,7 +125,7 @@ module Timeline : sig
 
   val completion : t -> at:int -> depth:int -> unit
 
-  val flush : t -> sink -> unit
+  val flush : t -> Span.sink -> unit
   (** Push the non-empty bins, in bin order, into the trial's sink.
       No-op on a dead sink. *)
 end

@@ -107,7 +107,6 @@ type t = {
          every timeout draw *)
   partition_rng : Prng.t;  (* cut-side growth; split after the PR 3 five *)
   retry_rng : Prng.t;  (* full-jitter backoff draws, one per timeout *)
-  retry_cap : int;  (* RI_RETRY_CAP, read once at plan creation *)
   dead : bool array;
   side : bool array;  (* [true] = minority side of the cut *)
   mutable cut_active : bool;
@@ -226,7 +225,6 @@ let make ?fault_seed ?neighbors s ~seed ~trial ~nodes ~protect =
       fallback_rng;
       partition_rng;
       retry_rng;
-      retry_cap = Env.int ~min:1 "RI_RETRY_CAP" (1 lsl 20);
       dead = Array.make nodes false;
       side = Array.make nodes false;
       cut_active = false;
@@ -469,13 +467,16 @@ let stale t ~at ~peer =
 
 let retries t = t.spec.retries
 
+(* The backoff bound's ceiling, in ticks. *)
+let retry_cap = 1 lsl 20
+
 let backoff_ticks t ~attempt =
   if t.spec.backoff = 0 then 0
   else
     (* Full jitter: uniform in [0, min (cap, base * 2^attempt)].  The
        draw comes from the plan's dedicated retry stream so traces stay
        deterministic and no other stream shifts. *)
-    let bound = min t.retry_cap (t.spec.backoff * (1 lsl min attempt 20)) in
+    let bound = min retry_cap (t.spec.backoff * (1 lsl min attempt 20)) in
     Prng.int t.retry_rng (bound + 1)
 
 let stats t = t.stats

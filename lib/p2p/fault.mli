@@ -69,7 +69,7 @@ type spec = {
   retries : int;  (** resends after the first timeout on a forward *)
   backoff : int;
       (** base backoff; attempt [k] waits uniform in
-          [\[0, min (RI_RETRY_CAP, backoff * 2^k)\]] (full jitter) *)
+          [\[0, min (2^20, backoff * 2^k)\]] (full jitter) *)
   query_budget : int option;
       (** cap on query forwards; [None] is unlimited.  Needed under
           faults: a timeout-ridden walk would otherwise compensate with
@@ -234,7 +234,7 @@ val retries : t -> int
 
 val backoff_ticks : t -> attempt:int -> int
 (** Full-jitter backoff: uniform in
-    [\[0, min (RI_RETRY_CAP, backoff * 2^attempt)\]], drawn from the
+    [\[0, min (2^20, backoff * 2^attempt)\]], drawn from the
     plan's dedicated retry stream (deterministic per plan), in abstract
     ticks (the simulator has no clock; ticks feed a counter that stands
     in for added latency).  [0] when the spec's base backoff is [0] —

@@ -100,7 +100,7 @@ module Step = struct
     plan : Fault.t option;
     budget : int;
     on_event : event -> unit;
-    decide : Ri_obs.Decision.sink;
+    decide : Ri_obs.Span.sink;
     live : bool;
     scheme_name : string;
     projected : int list;
@@ -456,7 +456,7 @@ module Step = struct
 
   (* [who] labels validation errors, so [run]'s messages are its own. *)
   let start_for who ?rng ?(on_event = fun (_ : event) -> ())
-      ?(decide = Ri_obs.Decision.null) ?plan net ~origin ~query ~forwarding =
+      ?(decide = Ri_obs.Span.null) ?plan net ~origin ~query ~forwarding =
     let n = Network.size net in
     if origin < 0 || origin >= n then
       invalid_arg (who ^ ": origin out of range");

@@ -51,7 +51,7 @@ val messages : outcome -> int
 val run :
   ?rng:Ri_util.Prng.t ->
   ?on_event:(event -> unit) ->
-  ?decide:Ri_obs.Decision.sink ->
+  ?decide:Ri_obs.Span.sink ->
   ?plan:Fault.t ->
   Network.t ->
   origin:int ->
@@ -63,12 +63,13 @@ val run :
     random neighbor ordering.  [on_event] observes every message as it
     is sent, in order.
 
-    [decide] (default {!Ri_obs.Decision.null}) receives per-hop
-    provenance: one [Decide] per decision point with the candidate
+    [decide] (default {!Ri_obs.Span.null}), the trial's log sink,
+    receives per-hop provenance when it records decisions
+    ({!Ri_obs.Decision}): one [Decide] per decision point with the candidate
     goodness vector, per-row staleness and update-wave lineage, and the
     counterfactual oracle-best candidate (ground-truth reachability with
     the deciding node removed); [Follow]/[Backtrack]/[Timeout] for the
-    walk skeleton; one final [Stop].  On a dead sink every capture site
+    walk skeleton; one final [Stop].  Otherwise every capture site
     — including the per-candidate oracle BFS — is a single branch.
     [run_parallel] and [flood] take no sink: neither makes per-neighbor
     routing decisions worth explaining.
@@ -128,7 +129,7 @@ module Step : sig
   val start :
     ?rng:Ri_util.Prng.t ->
     ?on_event:(event -> unit) ->
-    ?decide:Ri_obs.Decision.sink ->
+    ?decide:Ri_obs.Span.sink ->
     Network.t ->
     origin:int ->
     query:Ri_content.Workload.query ->

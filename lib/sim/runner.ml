@@ -31,10 +31,7 @@ let run ?pool spec f =
     invalid_arg "Runner.run: bad trial bounds";
   let pool = match pool with Some p -> p | None -> Pool.global () in
   (* One unit per data point, bumped on the submitting domain, so trial
-     keys never depend on the pool width.  Each recorder keeps its own
-     counter: provenance can be on without the event log and vice
-     versa. *)
-  Decision.next_unit ();
+     keys never depend on the pool width. *)
   Span.next_unit ();
   Metrics.incr m_units;
   Serve.Progress.begin_run ~total:spec.max_trials ();

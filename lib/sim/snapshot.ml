@@ -148,15 +148,6 @@ let save path (cfg : Config.t) ~trial ~rooted (setup : Trial.setup) =
   (match Config.validate cfg with
   | Ok () -> ()
   | Error m -> invalid_arg ("Snapshot.save: " ^ m));
-  let dbg = Env.int ~min:0 "RI_SNAP_DEBUG" 0 <> 0 in
-  let t_last = ref (Sys.time ()) in
-  let mark name =
-    if dbg then begin
-      let t = Sys.time () in
-      Printf.eprintf "snap-save %-10s %7.3fs\n%!" name (t -. !t_last);
-      t_last := t
-    end
-  in
   let net = setup.Trial.network in
   let n = Network.size net in
   if Network.perturbed net then
@@ -291,7 +282,6 @@ let save path (cfg : Config.t) ~trial ~rooted (setup : Trial.setup) =
             Bytes.set_int32_le buf (4 * v)
               (Int32.of_int (Rowstore.count (Scheme.rowstore (Network.ri net v))))
           done);
-      mark "small";
       let row = ref 0 in
       let peer_buf = Bytes.make lengths.(6) '\000' in
       let stamp_buf = Bytes.make lengths.(7) '\000' in
@@ -315,15 +305,13 @@ let save path (cfg : Config.t) ~trial ~rooted (setup : Trial.setup) =
                 done
             | Some _ -> Rowstore.blit_row_codes store offv data_buf (i * row_bytes))
       done;
-      mark "rows";
       (* The row sections are written from their fill buffers directly —
          at a million nodes these are hundreds of MB and a staging copy
          through [section] would double both the traffic and the live
          bytes. *)
       section_buf 6 peer_buf;
       section_buf 7 stamp_buf;
-      section_buf 8 data_buf;
-      mark "write")
+      section_buf 8 data_buf)
 
 (* ------------------------------------------------------------------ *)
 (* Load.                                                               *)
@@ -343,20 +331,6 @@ let load path (cfg : Config.t) ~trial =
   (match Config.validate cfg with
   | Ok () -> ()
   | Error m -> invalid_arg ("Snapshot.load: " ^ m));
-  let dbg = Env.int ~min:0 "RI_SNAP_DEBUG" 0 <> 0 in
-  let t_last = ref (Sys.time ()) in
-  let g_last = ref (Gc.quick_stat ()) in
-  let mark name =
-    if dbg then begin
-      let t = Sys.time () and g = Gc.quick_stat () in
-      Printf.eprintf "snap-load %-10s %7.3fs  majors %3d  minor %6.1fMw\n%!"
-        name (t -. !t_last)
-        (g.Gc.major_collections - !g_last.Gc.major_collections)
-        ((g.Gc.minor_words -. !g_last.Gc.minor_words) /. 1e6);
-      t_last := t;
-      g_last := g
-    end
-  in
   let fp = fingerprint cfg ~trial in
   let ic = In_channel.open_bin path in
   Fun.protect
@@ -390,11 +364,9 @@ let load path (cfg : Config.t) ~trial =
         | None -> 8 * stride
         | Some q -> ((stride * q.Rowstore.bits) + 7) / 8
       in
-      mark "header";
       (* adjacency *)
       let offs = read_section ic hdr 0 in
       let flat = read_section ic hdr 1 in
-      mark "read-adj";
       if Bytes.length flat <> 4 * half_edges then bad "adjacency length mismatch";
       let adj =
         Array.init n (fun v ->
@@ -405,7 +377,6 @@ let load path (cfg : Config.t) ~trial =
             Array.init (hi - lo) (fun i ->
                 Int32.to_int (Bytes.get_int32_le flat (4 * (lo + i)))))
       in
-      mark "adj";
       (* content *)
       let matches_b = read_section ic hdr 2 in
       let matches =
@@ -430,13 +401,11 @@ let load path (cfg : Config.t) ~trial =
         List.init (slot_int hdr slot_qtopics) (fun i ->
             Int32.to_int (Bytes.get_int32_le qt_b (4 * i)))
       in
-      mark "content";
       (* routing indices *)
       let counts_b = read_section ic hdr 5 in
       let peers_b = read_section ic hdr 6 in
       let stamps_b = read_section ic hdr 7 in
       let data_b = read_section ic hdr 8 in
-      mark "read-rows";
       if Bytes.length data_b <> rows * row_bytes then
         bad "row payload length contradicts the configured cell format";
       let kind =
@@ -493,7 +462,6 @@ let load path (cfg : Config.t) ~trial =
         then Pool.map_chunked ~chunk:256 ~label:"snap_load" pool ~n build
         else Array.init n build
       in
-      mark "stores";
       let placement =
         {
           Placement.matches;
@@ -553,7 +521,6 @@ let load path (cfg : Config.t) ~trial =
           }
           (fun () -> network)
       in
-      mark "register";
       {
         Trial.network;
         universe = Topic.make topics;

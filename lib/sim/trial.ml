@@ -344,16 +344,13 @@ let recorded_update sink ~cat name args ~args_of f =
   Span.finish sink root ~args:(args_of r) ();
   r
 
-(* Decision and the span log each wrap the trial body: each hands out
-   its own sink (null when that recorder is off) and merges under the
-   same (unit, trial) key, so both outputs stay independently
-   byte-deterministic at any pool width. *)
+(* One log sink per trial body: the span hooks record its events and
+   the walk its decisions, each only when that kind is on. *)
 let traced_query (cfg : Config.t) ~trial setup =
-  Decision.with_trial ~trial (fun decide ->
-      Span.with_trial ~trial (fun sink ->
-          snd
-            (recorded_query sink ~stop:true cfg setup (fun on_event ->
-                 query_outcome ?on_event ~decide cfg setup))))
+  Span.with_trial ~trial (fun sink ->
+      snd
+        (recorded_query sink ~stop:true cfg setup (fun on_event ->
+             query_outcome ?on_event ~decide:sink cfg setup)))
 
 let run_query cfg ~trial =
   traced_query cfg ~trial (build ~purpose:For_query cfg ~trial)
@@ -505,8 +502,7 @@ let run_query_faulty (cfg : Config.t) ~trial =
      waves must be able to reach the rows that guide routing from the
      origin, which the rooted (downstream-only) build cannot express. *)
   let clean_found = clean_found_baseline cfg ~trial in
-  Decision.with_trial ~trial (fun decide ->
-      Span.with_trial ~trial (fun sink ->
+  Span.with_trial ~trial (fun sink ->
       let setup =
         build ~purpose:For_update ~mutable_placement:(spec.Fault.drift > 0.)
           cfg ~trial
@@ -519,7 +515,7 @@ let run_query_faulty (cfg : Config.t) ~trial =
       let drift_counters = recorded_drift sink plan setup in
       let outcome, m =
         recorded_query sink ~stop:true cfg setup (fun on_event ->
-            query_outcome ?on_event ~decide ~plan cfg setup)
+            query_outcome ?on_event ~decide:sink ~plan cfg setup)
       in
       let repair_messages = outcome.Query.counters.Message.update_messages in
       {
@@ -534,7 +530,7 @@ let run_query_faulty (cfg : Config.t) ~trial =
           float_of_int (m.messages + repair_messages)
           /. float_of_int (max 1 m.found);
         f_stats = Fault.stats plan;
-      }))
+      })
 
 type parallel_metrics = {
   par_messages : int;
@@ -680,8 +676,7 @@ let run_recovery (cfg : Config.t) ~trial =
   | Config.No_ri | Config.Flooding _ ->
       invalid_arg "Trial.run_recovery: needs an RI search mechanism");
   let clean_found = clean_found_baseline cfg ~trial in
-  Decision.with_trial ~trial (fun decide ->
-      Span.with_trial ~trial (fun sink ->
+  Span.with_trial ~trial (fun sink ->
       let setup =
         build ~purpose:For_update ~mutable_placement:(spec.Fault.drift > 0.)
           cfg ~trial
@@ -707,7 +702,7 @@ let run_recovery (cfg : Config.t) ~trial =
       let query () =
         snd
           (recorded_query sink ~stop:false cfg setup (fun on_event ->
-               query_outcome ?on_event ~decide ~plan cfg setup))
+               query_outcome ?on_event ~decide:sink ~plan cfg setup))
       in
       (* The dip: query the damaged network — victims silent, the cut
          severing forwards, stale rows misrouting. *)
@@ -769,4 +764,4 @@ let run_recovery (cfg : Config.t) ~trial =
         r_ae_repairs = !repairs;
         r_recovery_messages = recovery_counters.Message.update_messages;
         r_stats = Fault.stats plan;
-      }))
+      })

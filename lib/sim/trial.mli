@@ -61,7 +61,7 @@ val run_query : Config.t -> trial:int -> query_metrics
 
 val run_query_on :
   ?on_event:(Ri_p2p.Query.event -> unit) ->
-  ?decide:Ri_obs.Decision.sink ->
+  ?decide:Ri_obs.Span.sink ->
   ?plan:Ri_p2p.Fault.t ->
   Config.t ->
   setup ->
@@ -69,8 +69,8 @@ val run_query_on :
 (** Run the configured search on an existing setup (lets one setup be
     shared across search mechanisms for paired comparisons).
     [on_event] observes every query message; {!run_query} wires it to
-    {!query_hook} when the event log is on.  [decide] receives
-    per-hop routing-decision provenance (see {!Ri_p2p.Query.run}; the
+    {!query_hook} when the event log is on.  [decide], the trial's log
+    sink, receives per-hop routing-decision provenance (see {!Ri_p2p.Query.run}; the
     sink is not passed to flooding, which makes no routing decisions).
     [plan] runs the query in a fault environment (see
     {!Ri_p2p.Fault}). *)

@@ -218,18 +218,18 @@ let test_inert_plan_query_is_noop () =
       else None
     in
     let events = ref [] in
-    Ri_obs.Decision.clear ();
-    Ri_obs.Decision.start ();
+    Ri_obs.Span.clear ();
+    Ri_obs.Span.start [ Ri_obs.Span.Decisions ];
     let o =
-      Fun.protect ~finally:Ri_obs.Decision.stop (fun () ->
-          Ri_obs.Decision.with_trial ~trial:1 (fun decide ->
+      Fun.protect ~finally:Ri_obs.Span.stop (fun () ->
+          Ri_obs.Span.with_trial ~trial:1 (fun decide ->
               Query.run
                 ~on_event:(fun e -> events := e :: !events)
                 ~decide ?plan ~rng:(Ri_util.Prng.create 9) setup.Trial.network
                 ~origin:setup.Trial.origin ~query:setup.Trial.query ~forwarding))
     in
     let records = Ri_obs.Decision.records () in
-    Ri_obs.Decision.clear ();
+    Ri_obs.Span.clear ();
     (o, List.rev !events, records)
   in
   List.iter

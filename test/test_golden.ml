@@ -329,13 +329,8 @@ let faulty_walk_digest () =
     (fun cfg ->
       Buffer.add_string buf (Config.search_name cfg.Config.search ^ "\n");
       Span.clear ();
-      Decision.clear ();
-      Span.start ();
-      Decision.start ();
-      Fun.protect
-        ~finally:(fun () ->
-          Span.stop ();
-          Decision.stop ())
+      Span.start [ Span.Events; Span.Decisions ];
+      Fun.protect ~finally:Span.stop
         (fun () ->
           for trial = 0 to faulty_walk_trials - 1 do
             record cfg ~trial
@@ -352,8 +347,7 @@ let faulty_walk_digest () =
               | _ -> ())
             events)
         (Span.flat_events ());
-      Span.clear ();
-      Decision.clear ())
+      Span.clear ())
     configs;
   let digest = Digest.to_hex (Digest.string (Buffer.contents buf)) in
   if Ri_util.Env.int "RI_GOLDEN_PRINT" 0 <> 0 then
@@ -386,7 +380,7 @@ let two_trials f =
 let trace_views run =
   let open Ri_obs in
   Span.clear ();
-  Span.start ();
+  Span.start [ Span.Events ];
   Fun.protect ~finally:Span.stop run;
   let views =
     [ ("trace jsonl", Span.render_flat_jsonl ()); ("trace chrome", Span.render_flat_chrome ()) ]
@@ -397,7 +391,7 @@ let trace_views run =
 let span_views run =
   let open Ri_obs in
   Span.clear ();
-  Span.start ();
+  Span.start [ Span.Events ];
   Fun.protect ~finally:Span.stop run;
   let views =
     [

@@ -69,15 +69,15 @@ let test_wave_counter_per_instance () =
 let small = Config.scaled Config.base ~num_nodes:300
 
 let records_for cfg ~trials =
-  Decision.clear ();
-  Decision.start ();
-  Fun.protect ~finally:Decision.stop (fun () ->
-      Decision.next_unit ();
+  Span.clear ();
+  Span.start [ Span.Decisions ];
+  Fun.protect ~finally:Span.stop (fun () ->
+      Span.next_unit ();
       for trial = 0 to trials - 1 do
         ignore (Trial.run_query cfg ~trial)
       done);
   let r = Decision.records () in
-  Decision.clear ();
+  Span.clear ();
   r
 
 let test_decide_invariants () =
@@ -206,13 +206,13 @@ let test_explain_end_to_end () =
 
 let test_dashboard_of_decisions () =
   let cfg = Config.with_search small (Config.Ri Config.cri) in
-  Decision.clear ();
-  Decision.start ();
-  Fun.protect ~finally:Decision.stop (fun () ->
-      Decision.next_unit ();
+  Span.clear ();
+  Span.start [ Span.Decisions ];
+  Fun.protect ~finally:Span.stop (fun () ->
+      Span.next_unit ();
       ignore (Trial.run_query cfg ~trial:0));
   let jsonl = Decision.render_jsonl () in
-  Decision.clear ();
+  Span.clear ();
   match Ri_experiments.Dashboard.of_decisions jsonl with
   | None -> Alcotest.fail "no table from live decision output"
   | Some t ->

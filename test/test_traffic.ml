@@ -364,7 +364,7 @@ let traffic_trace_run jobs =
     ~finally:(fun () -> Pool.set_global_jobs prev)
     (fun () ->
       Span.clear ();
-      Span.start ();
+      Span.start [ Span.Events ];
       let points =
         Fun.protect ~finally:Span.stop (fun () ->
             Traffic.sweep ~opts:fast_opts eri_cfg ())
@@ -401,7 +401,7 @@ let traffic_span_run jobs =
     ~finally:(fun () -> Pool.set_global_jobs prev)
     (fun () ->
       Span.clear ();
-      Span.start ();
+      Span.start [ Span.Events ];
       let points =
         Fun.protect ~finally:Span.stop (fun () ->
             Traffic.sweep ~opts:fast_opts eri_cfg ())
@@ -624,14 +624,14 @@ let test_hotspot_ranking () =
   | _ -> Alcotest.fail "size-mismatched merge accepted"
 
 let test_timeline_clamps () =
-  Observatory.clear ();
-  Observatory.start ();
+  Span.clear ();
+  Span.start [ Span.Timeline ];
   Fun.protect
     ~finally:(fun () ->
-      Observatory.stop ();
-      Observatory.clear ())
+      Span.stop ();
+      Span.clear ())
     (fun () ->
-      Observatory.with_trial ~trial:0 (fun sink ->
+      Span.with_trial ~trial:0 (fun sink ->
           let tl = Observatory.Timeline.create ~bins:4 ~width_ns:10 in
           Observatory.Timeline.arrival tl ~at:0 ~depth:2;
           Observatory.Timeline.arrival tl ~at:35 ~depth:1;
@@ -672,13 +672,13 @@ let test_timeline_clamps () =
    recording on must be bit-identical to one with it off. *)
 let test_recording_does_not_perturb () =
   let off = Traffic.simulate eri_cfg ~opts:fast_opts ~qps:200. ~trial:0 in
-  Observatory.clear ();
-  Observatory.start ();
+  Span.clear ();
+  Span.start [ Span.Timeline ];
   let on_ =
     Fun.protect
       ~finally:(fun () ->
-        Observatory.stop ();
-        Observatory.clear ())
+        Span.stop ();
+        Span.clear ())
       (fun () -> Traffic.simulate eri_cfg ~opts:fast_opts ~qps:200. ~trial:0)
   in
   Alcotest.(check string) "sketch bytes identical with recording on"
@@ -714,12 +714,12 @@ let test_recording_does_not_perturb () =
      it from the setup cache. *)
   ignore (minor_words ());
   let off_words = minor_words () in
-  Observatory.start ();
+  Span.start [ Span.Timeline ];
   let on_words =
     Fun.protect
       ~finally:(fun () ->
-        Observatory.stop ();
-        Observatory.clear ())
+        Span.stop ();
+        Span.clear ())
       minor_words
   in
   Alcotest.(check bool)
@@ -734,14 +734,14 @@ let traffic_timeline_run jobs =
   Fun.protect
     ~finally:(fun () -> Pool.set_global_jobs prev)
     (fun () ->
-      Observatory.clear ();
-      Observatory.start ();
+      Span.clear ();
+      Span.start [ Span.Timeline ];
       let points =
-        Fun.protect ~finally:Observatory.stop (fun () ->
+        Fun.protect ~finally:Span.stop (fun () ->
             Traffic.sweep ~opts:fast_opts eri_cfg ())
       in
       let jsonl = Observatory.render_jsonl () in
-      Observatory.clear ();
+      Span.clear ();
       (points, jsonl))
 
 let test_timeline_bit_identical () =
