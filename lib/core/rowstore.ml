@@ -271,6 +271,27 @@ let ensure t peer =
       order_append t peer;
       slot * t.stride
 
+(* Back to the empty state [create] leaves, keeping the backing
+   buffers.  [Hashtbl.reset] shrinks the peer table to its initial
+   bucket array, so a reset store iterates a later insert sequence
+   exactly as a fresh one does; a table shared with clones is replaced
+   instead.  Used rows are zeroed, keeping [ensure]'s zeroed-row
+   promise. *)
+let reset t =
+  (match t.cells with
+  | Floats d -> Array.fill d 0 (t.next * t.stride) 0.
+  | Codes c ->
+      Bytes.fill c.codes 0 (t.next * row_bytes_of ~stride:t.stride c.q) '\000');
+  Array.fill t.stamps 0 t.next 0;
+  if t.shared_index then begin
+    t.index <- Hashtbl.create 8;
+    t.shared_index <- false
+  end
+  else Hashtbl.reset t.index;
+  t.order <- None;
+  t.free <- [];
+  t.next <- 0
+
 let remove t peer =
   match Hashtbl.find_opt t.index peer with
   | None -> ()
@@ -376,16 +397,20 @@ let decode_row t off dst =
         dst.(i) <- Array.unsafe_get table (get_code codes ~base ~bits i)
       done
 
-let encode_row t off src =
+let encode_cells t off src pos =
   match t.cells with
-  | Floats d -> Array.blit src 0 d off t.stride
+  | Floats d -> Array.blit src pos d off t.stride
   | Codes { q; codes } ->
       let slot = off / t.stride in
       let base = slot * row_bytes_of ~stride:t.stride q in
       let bits = q.q_bits in
       for i = 0 to t.stride - 1 do
-        set_code codes ~base ~bits i (encode_cell q src.(i))
+        set_code codes ~base ~bits i (encode_cell q src.(pos + i))
       done
+
+let encode_row t off src = encode_cells t off src 0
+
+let load_row t ~peer src ~pos = encode_cells t (ensure t peer) src pos
 
 (* Per-domain decode scratch: strictly transient (consumed before the
    next decode on the same domain), so one buffer per domain suffices —

@@ -77,6 +77,12 @@ val ensure : t -> int -> int
 (** Offset of the peer's row, allocating a zeroed row (recycling freed
     slots, growing the backing buffer as needed) when absent. *)
 
+val reset : t -> unit
+(** Drop every row, keeping the backing buffers: afterwards the store
+    iterates any insert sequence exactly as a fresh {!create} fed the
+    same sequence does (same peer-table state, same initial size).  A
+    peer table shared with {!copy} clones is replaced, not cleared. *)
+
 val remove : t -> int -> unit
 (** Drop the peer's row and recycle its slot (zeroed).  No-op when
     absent. *)
@@ -101,6 +107,11 @@ val decode_row : t -> int -> float array -> unit
 val encode_row : t -> int -> float array -> unit
 (** [encode_row t off src] stores [src.(0 .. stride-1)] as the row at
     offset [off], quantizing if the store is quantized. *)
+
+val load_row : t -> peer:int -> float array -> pos:int -> unit
+(** [load_row t ~peer src ~pos] stores [src.(pos .. pos+stride-1)] as
+    the peer's row, allocating the row when absent — {!ensure} then
+    {!encode_row}, without a staging copy. *)
 
 val scratch : t -> float array
 (** A per-domain decode buffer of at least [stride t] cells, for

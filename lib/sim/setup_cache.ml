@@ -38,12 +38,15 @@ type content_key = {
   c_trial : int;
 }
 
-(* Converged (or rooted) networks are pure functions of the overlay,
-   the content draw and the index parameters below — nothing else in a
-   [Config.t] feeds the build.  Keying on exactly those fields lets a
+(* Converged networks are pure functions of the overlay, the content
+   draw and the index parameters below — nothing else in a [Config.t]
+   feeds the build.  Keying on exactly those fields lets a
    stop-condition or byte-cost sweep reuse one template across every
    cell; each access returns [Network.copy template], never the
-   template itself, so callers may mutate their copy freely. *)
+   template itself, so callers may mutate their copy freely.  Rooted
+   generator builds are not cached: their flat pass costs less than the
+   copy, and a trial installs only the rows its walk reads.  Only a
+   snapshot-loaded rooted network carries an origin here. *)
 (* Where a template's RI state came from.  A snapshot-loaded network
    has the same configuration fingerprint as a generator-built one but
    not necessarily the same floats (the snapshot may predate a content
@@ -60,7 +63,7 @@ type network_key = {
   n_policy : Ri_p2p.Network.cycle_policy;
   n_min_update : float;
   n_floor : float;  (* update_distance_floor *)
-  n_origin : int option;  (* [Rooted] origin; [None] is converged *)
+  n_origin : int option;  (* a snapshot's [Rooted] origin; [None] is converged *)
   n_quant : int option;  (* quantization bits; [None] is exact floats *)
   n_source : source;
 }

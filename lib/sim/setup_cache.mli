@@ -66,7 +66,9 @@ type network_key = {
   n_policy : Ri_p2p.Network.cycle_policy;
   n_min_update : float;
   n_floor : float;  (** update_distance_floor *)
-  n_origin : int option;  (** [Rooted] origin; [None] is converged *)
+  n_origin : int option;
+      (** a snapshot-loaded network's [Rooted] origin; [None] is
+          converged, as every generator build cached here is *)
   n_quant : int option;  (** quantization bits; [None] is exact floats *)
   n_source : source;
 }
@@ -91,7 +93,10 @@ val network :
     {!Trial.build} bypasses this table when a perturbation model is
     installed (the build draws from the PRNG) or when the caller
     requested a mutable placement (the network's content closures must
-    bind the caller's private copy). *)
+    bind the caller's private copy).  It also bypasses it for every
+    rooted (query) build: that flat pass costs less than a copy of a
+    template, and the rows it leaves are installed only where a walk
+    reads them. *)
 
 type baseline_key = {
   b_trial : int;

@@ -23,9 +23,12 @@ type setup = {
 (** Which RI construction the trial needs.
 
     [For_query] uses the paper simulator's rooted construction — RIs
-    built downstream from the query originator (Appendix A).
+    built downstream from the query originator (Appendix A).  It is
+    built fresh for every trial, never taken from the setup cache, and
+    a node's rows are installed when the walk first reads them (see
+    {!Ri_p2p.Network.create}), inside the walk's own phase.
     [For_update] needs rows in every direction, so it builds the
-    converged network-wide state. *)
+    converged network-wide state, cached across sweep cells. *)
 type purpose = For_query | For_update
 
 val build :
