@@ -651,16 +651,7 @@ let scale_cmd =
     in
     Arg.(value & opt (some string) None & info [ "snapshot" ] ~docv:"DIR" ~doc)
   in
-  let par_compare_t =
-    let doc =
-      "Additionally time a cache-cold converged build on the process \
-       pool and on one core (the intra-trial parallelism speedup)."
-    in
-    Arg.(value & flag & info [ "par-compare" ] ~doc)
-  in
-  let run nodes seed trials rel_error sizes json big compress snapshot
-      par_compare jobs obs =
-    apply_jobs jobs;
+  let run nodes seed trials rel_error sizes json big compress snapshot obs =
     let base = base_config nodes seed in
     let spec = spec_of trials rel_error in
     let sizes =
@@ -680,7 +671,6 @@ let scale_cmd =
       {
         Ri_experiments.Fig_scale.o_compress = compress;
         o_snapshot = snapshot;
-        o_par_compare = par_compare;
       }
     in
     (* A refused sweep raises out of [with_obs] before it writes (or
@@ -696,8 +686,7 @@ let scale_cmd =
         if compress <> None then
           Ri_experiments.Report.print
             (Ri_experiments.Fig_scale.compress_report_of points);
-        Printf.printf "%s\n%s\n" (Telemetry.cache_line ())
-          (Telemetry.pool_line ());
+        print_endline (Telemetry.cache_line ());
         print_gc_table ();
         (match json with
         | None -> ()
@@ -722,13 +711,11 @@ let scale_cmd =
        ~doc:
          "Sweep network sizes and report build times, queries/sec, \
           update-waves/sec, wire bytes, RI bytes per node, heap and RSS; \
-          optionally compressed-store, snapshot and parallel-speedup \
-          measurements")
+          optionally compressed-store and snapshot measurements")
     Term.(
       ret
         (const run $ nodes_t $ seed_t $ trials_t $ rel_error_t $ sizes_t
-       $ json_t $ big_t $ compress_t $ snapshot_t $ par_compare_t $ jobs_t
-       $ obs_t))
+       $ json_t $ big_t $ compress_t $ snapshot_t $ obs_t))
 
 let traffic_cmd =
   let module T = Ri_experiments.Traffic in

@@ -90,36 +90,12 @@ let distribute rng ~universe ~n ~query_topics ~results ~distribution
     done;
     if frac > 0. && Prng.bernoulli rng frac then add_background rng v
   in
-  (* The background pass is the O(n) bulk of content generation, and
-     each node's draws are independent of every other node's — only the
-     shared stream serializes it.  Above the threshold the nodes are cut
-     into fixed-size shards, each fed its own stream split off the
-     parent in shard order; shard boundaries and stream derivation
-     depend only on [n], so the result is identical at every pool width
-     (though not to the single-stream layout below the threshold, which
-     is why figure-scale runs keep the legacy stream bit-for-bit). *)
-  let shard_min = Env.int ~min:1 "RI_PLACE_SHARD_MIN" 32768 in
-  if n < shard_min || Pool.in_job () then
-    for v = 0 to n - 1 do
-      background_for rng v
-    done
-  else begin
-    let shard = 4096 in
-    let shards = (n + shard - 1) / shard in
-    let rngs = Array.init shards (fun _ -> Prng.split rng) in
-    Pool.iter ~chunk:1 ~label:"placement" (Pool.global ()) ~n:shards (fun s ->
-        let rng = rngs.(s) in
-        for v = s * shard to min n (s * shard + shard) - 1 do
-          background_for rng v
-        done)
-  end;
+  for v = 0 to n - 1 do
+    background_for rng v
+  done;
   let summaries =
-    if n < shard_min || Pool.in_job () then
-      Array.init n (fun v ->
-          Summary.of_counts ~total:totals.(v) ~by_topic:counts.(v))
-    else
-      Pool.map_chunked ~chunk:1024 ~label:"placement" (Pool.global ()) ~n
-        (fun v -> Summary.of_counts ~total:totals.(v) ~by_topic:counts.(v))
+    Array.init n (fun v ->
+        Summary.of_counts ~total:totals.(v) ~by_topic:counts.(v))
   in
   { matches; summaries; total_matches = results }
 

@@ -45,7 +45,9 @@ val distribute :
     topics) over [n] nodes according to [distribution], and adds an
     average of [background_per_node] (default [2.0]) non-matching
     documents per node, each on [topics_per_background_doc] (default [2])
-    topics.  @raise Invalid_argument on a non-positive [n], negative
+    topics.  Every draw comes from [rng], node by node, so the result
+    depends only on [rng] and the arguments, at every [n].
+    @raise Invalid_argument on a non-positive [n], negative
     [results], an empty or out-of-range query, or a [Biased] distribution
     with shares outside (0, 1). *)
 

@@ -1,11 +1,11 @@
 open Ri_sim
 
-let query_messages ?pool cfg ~spec =
-  Runner.run ?pool spec (fun ~trial ->
+let query_messages cfg ~spec =
+  Runner.run spec (fun ~trial ->
       float_of_int (Trial.run_query cfg ~trial).Trial.messages)
 
-let update_messages ?pool cfg ~spec =
-  Runner.run ?pool spec (fun ~trial ->
+let update_messages cfg ~spec =
+  Runner.run spec (fun ~trial ->
       float_of_int (Trial.run_update cfg ~trial).Trial.update_messages)
 
 let ri_searches cfg =

@@ -1,16 +1,13 @@
 (** Shared helpers for the per-figure experiment modules. *)
 
 val query_messages :
-  ?pool:Ri_util.Pool.t ->
   Ri_sim.Config.t ->
   spec:Ri_sim.Runner.spec ->
   Ri_util.Stats.summary
 (** Mean query-processing messages over trials, run to the confidence
-    target.  Trials execute on [pool] (default the global [RI_JOBS]
-    pool). *)
+    target.  Trials execute on the global [RI_JOBS] pool. *)
 
 val update_messages :
-  ?pool:Ri_util.Pool.t ->
   Ri_sim.Config.t ->
   spec:Ri_sim.Runner.spec ->
   Ri_util.Stats.summary

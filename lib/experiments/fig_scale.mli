@@ -4,10 +4,10 @@
     size it builds the rooted (query) and converged (update) networks
     once, then times repeated queries and update waves on them,
     reporting throughput, allocation, delta-encoded wire bytes, the flat
-    RI store's resident footprint, peak heap and process RSS — plus,
-    on request, cache-cold build times at pool vs single-core width
-    (the intra-trial parallelism speedup), snapshot save/load times,
-    and the quantized-rowstore accuracy/size tradeoff. *)
+    RI store's resident footprint, peak heap and process RSS — plus, on
+    request, snapshot save/load times and the quantized-rowstore
+    accuracy/size tradeoff.  The sweep runs on the calling domain; the
+    domain pool is not used. *)
 
 val id : string
 
@@ -28,9 +28,6 @@ type opts = {
           accuracy/size tradeoff against the exact store *)
   o_snapshot : string option;
       (** directory for snapshot save/load round-trip timing *)
-  o_par_compare : bool;
-      (** additionally time a cache-cold converged build on the process
-          pool and on one core *)
 }
 
 val default_opts : opts
@@ -50,8 +47,6 @@ type point = {
   p_build_s : float;
       (** rooted pass (its rows installed by the first queries) plus
           converged construction *)
-  p_build_par_s : float option;  (** cache-cold build, process pool *)
-  p_build_seq_s : float option;  (** cache-cold build, one core *)
   p_queries_per_s : float;
       (** walks over one rooted network, which installs a node's rows
           on its first read: the first walks pay the installs on their
@@ -95,8 +90,8 @@ val sweep :
     it). *)
 
 val report_of : point list -> Report.t
-(** The main table; pool/1-core and snapshot columns appear only when
-    some point carries them. *)
+(** The main table; snapshot columns appear only when some point
+    carries them. *)
 
 val compress_report_of : point list -> Report.t
 (** The accuracy/size table for points measured with [o_compress];

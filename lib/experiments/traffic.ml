@@ -586,7 +586,7 @@ let measure ?(opts = default_opts) (cfg : Config.t) ~qps =
     ~label:(Printf.sprintf "traffic qps=%g" qps)
     ~total:opts.o_trials ();
   let rs =
-    Pool.map_chunked ~chunk:1 (Pool.global ()) ~n:opts.o_trials (fun i ->
+    Pool.map (Pool.global ()) ~n:opts.o_trials (fun i ->
         simulate cfg ~opts ~qps ~trial:i)
   in
   Serve.Progress.set_trials opts.o_trials;

@@ -1,7 +1,7 @@
 (* Named wall-clock phases over Metrics histograms.  The handle table
    avoids re-walking the metric registry on every call; phases fire a
    few times per trial, from any domain — registration and the name
-   list are mutex-guarded so a first touch inside a sharded section is
+   list are mutex-guarded so a first touch from two trials at once is
    safe (see the racing-registration test in test_obs.ml). *)
 
 let lock = Mutex.create ()

@@ -9,10 +9,10 @@
    Everything a sketch accumulates is order-independent by
    construction: bucket counts and the total are integer sums, the
    running sum is kept in integer micro-units (each observation rounded
-   once, deterministically), and min/max commute.  Merging per-shard or
-   per-trial sketches therefore reaches the same bytes whatever the
-   merge order or pool width — the bit-identity contract the rest of
-   the observability plane already obeys. *)
+   once, deterministically), and min/max commute.  Merging per-trial
+   sketches therefore reaches the same bytes whatever the merge order
+   or pool width — the bit-identity contract the rest of the
+   observability plane already obeys. *)
 
 type t = {
   alpha : float;

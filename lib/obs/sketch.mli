@@ -5,9 +5,9 @@
     the same state — bucket counts and totals are integer sums, the
     running sum is accumulated in integer micro-units (rounded once per
     observation), and min/max commute — so {!merge} is associative and
-    commutative {e at the byte level}: per-shard or per-trial sketches
-    combine to identical {!encode} output whatever the merge order or
-    pool width.
+    commutative {e at the byte level}: per-trial sketches combine to
+    identical {!encode} output whatever the merge order or pool
+    width.
 
     Quantile estimates are within relative error [alpha] (default 1%)
     of the exact sorted-reference quantile for positive values;

@@ -116,19 +116,6 @@ let install_all t =
       done;
       t.pending <- None
 
-(* Per-node init/copy work fans across the shared pool only above a
-   size floor (default 4096): below that the dispatch costs more than
-   the parallelism recovers, and the small-network figure runs stay on
-   the literal sequential code.  A perturbation model forces sequential
-   — its rng draws are order-dependent — as does running inside a pool
-   item (a runner trial), where nested parallelism cannot widen. *)
-let parallel_build_pool ?pool ~perturb n =
-  let par_min = Env.int ~min:1 "RI_PAR_BUILD_MIN" 4096 in
-  if Option.is_none perturb && n >= par_min && not (Pool.in_job ()) then
-    let p = match pool with Some p -> p | None -> Pool.global () in
-    if Pool.jobs p > 1 then Some p else None
-  else None
-
 (* Per-trial clone of a cached template.  Mutable state — adjacency
    rows (churn), RIs and projected locals (update waves) — is deep
    copied; the content closures, compression and policy knobs are
@@ -139,23 +126,12 @@ let parallel_build_pool ?pool ~perturb n =
    are only cached in that case. *)
 let copy t =
   install_all t;
-  let n = Array.length t.ris in
-  let ris =
-    (* [Scheme.copy] is pure per node, so big-network cache hand-outs
-       (scale sweeps, snapshot loads) duplicate row stores in
-       parallel; output lands at its own index, order-free. *)
-    match parallel_build_pool ~perturb:None n with
-    | Some p ->
-        Pool.map_chunked ~chunk:256 ~label:"net_copy" p ~n (fun v ->
-            Scheme.copy t.ris.(v))
-    | None -> Array.map Scheme.copy t.ris
-  in
   {
     t with
     (* Only the outer array: [add_link]/[remove_link] replace rows with
        fresh arrays rather than mutating them, so rows can be shared. *)
     adj = Array.copy t.adj;
-    ris;
+    ris = Array.map Scheme.copy t.ris;
     locals = Array.copy t.locals;
   }
 
@@ -315,83 +291,6 @@ let build_forest_exact t order parent =
       (Scheme.export_all t.ris.(v))
   done
 
-(* Level-synchronized parallel form of [build_forest_exact], used only
-   without a perturbation model (so [maybe_perturb] is the identity and
-   no rng is drawn).  Bit-identity argument:
-
-   - Up pass.  The sequential pass walks children in reverse BFS order,
-     writing each child's export into its parent's store.  Regrouped
-     parent-centric: one task per parent, iterating that parent's
-     children in reverse BFS order.  Per-store the insert sequence is
-     unchanged (a parent's children all share its BFS depth + 1 and
-     arrive in the same relative order), every write is local to the
-     task's own parent store, and running levels deepest-first with a
-     barrier between them guarantees a child's rows are all installed
-     before its export is read — exactly the state the sequential pass
-     reads at that point.
-
-   - Down pass.  The sequential pass walks nodes in BFS order, writing
-     each node's per-child export into the child's store.  Each child
-     has a unique tree parent, so one level's tasks never write the same
-     store; a node's own store (children rows from the up pass, parent
-     row from the previous down level) is complete before its
-     [export_all] runs.  Leaves produce no writes in either form and
-     are skipped here.
-
-   Float summation order inside every export is the store's iteration
-   order, which the identical insert sequences preserve — so the
-   resulting RIs are bit-for-bit the sequential build's at any pool
-   width. *)
-let build_forest_exact_par t pool order parent =
-  let n = size t in
-  let depth = Array.make n 0 in
-  let maxd = ref 0 in
-  Array.iter
-    (fun v ->
-      let p = parent.(v) in
-      let d = if p < 0 then 0 else depth.(p) + 1 in
-      depth.(v) <- d;
-      if d > !maxd then maxd := d)
-    order;
-  let ccount = Array.make n 0 in
-  Array.iter (fun p -> if p >= 0 then ccount.(p) <- ccount.(p) + 1) parent;
-  let children = Array.init n (fun v -> Array.make ccount.(v) 0) in
-  let fill = Array.make n 0 in
-  for i = n - 1 downto 0 do
-    let v = order.(i) in
-    let p = parent.(v) in
-    if p >= 0 then begin
-      children.(p).(fill.(p)) <- v;
-      fill.(p) <- fill.(p) + 1
-    end
-  done;
-  (* Nodes with children, bucketed by BFS depth — leaves never act. *)
-  let by_level = Array.make (!maxd + 1) [] in
-  for v = n - 1 downto 0 do
-    if ccount.(v) > 0 then by_level.(depth.(v)) <- v :: by_level.(depth.(v))
-  done;
-  let by_level = Array.map Array.of_list by_level in
-  for d = !maxd downto 0 do
-    let ps = by_level.(d) in
-    Pool.iter ~chunk:8 ~label:"ri_build" pool ~n:(Array.length ps) (fun k ->
-        let p = ps.(k) in
-        Array.iter
-          (fun c ->
-            Scheme.set_row t.ris.(p) ~peer:c
-              (Scheme.export t.ris.(c) ~exclude:None))
-          children.(p))
-  done;
-  for d = 0 to !maxd do
-    let ps = by_level.(d) in
-    Pool.iter ~chunk:8 ~label:"ri_build" pool ~n:(Array.length ps) (fun k ->
-        let v = ps.(k) in
-        List.iter
-          (fun (peer, payload) ->
-            if peer <> parent.(v) then
-              Scheme.set_row t.ris.(peer) ~peer:v payload)
-          (Scheme.export_all t.ris.(v)))
-  done
-
 let non_tree_edges adj parent =
   let n = Array.length adj in
   let is_tree u v = parent.(u) = v || parent.(v) = u in
@@ -505,13 +404,10 @@ let build_rooted t origin =
         stride;
       }
 
-(* The parallel build paths switch on below [RI_PAR_BUILD_MIN] nodes
-   (default 4096; see [parallel_build_pool] above): below that the
-   level bucketing costs more than the parallelism recovers. *)
 let create ~graph ~content ?scheme ?(compression = Compression.exact)
     ?(cycle_policy = Detect_recover) ?(min_update = 0.01)
     ?(update_distance_floor = 1.0) ?perturb ?rng ?(mode = Converged) ?quant
-    ?pool () =
+    () =
   let n = Ri_topology.Graph.n graph in
   (match mode with
   | Rooted origin when origin < 0 || origin >= n ->
@@ -521,15 +417,9 @@ let create ~graph ~content ?scheme ?(compression = Compression.exact)
   let rng = match rng with Some r -> r | None -> Prng.create 0x5eed in
   let topics = Summary.topics (content.summary 0) in
   let width = Compression.width ~topics compression in
-  let par = parallel_build_pool ?pool ~perturb n in
-  (* Per-node summaries and index shells are independent (pure functions
-     of shared read-only content), so their initialization parallelizes
-     with no ordering concerns at all. *)
   let locals =
-    let mk v = Compression.project_summary compression (content.summary v) in
-    match par with
-    | Some p -> Pool.map_chunked ~chunk:256 ~label:"net_init" p ~n mk
-    | None -> Array.init n mk
+    Array.init n (fun v ->
+        Compression.project_summary compression (content.summary v))
   in
   let ris =
     match (scheme, mode) with
@@ -537,13 +427,9 @@ let create ~graph ~content ?scheme ?(compression = Compression.exact)
     | Some kind, Rooted origin ->
         Array.make n (Scheme.create ?quant kind ~width ~local:locals.(origin))
     | Some kind, Converged ->
-        let mk v =
-          Scheme.create ~rows:(Array.length adj.(v)) ?quant kind ~width
-            ~local:locals.(v)
-        in
-        (match par with
-        | Some p -> Pool.map_chunked ~chunk:256 ~label:"net_init" p ~n mk
-        | None -> Array.init n mk)
+        Array.init n (fun v ->
+            Scheme.create ~rows:(Array.length adj.(v)) ?quant kind ~width
+              ~local:locals.(v))
   in
   let t =
     {
@@ -582,9 +468,7 @@ let create ~graph ~content ?scheme ?(compression = Compression.exact)
             "Network.create: a compound RI under the no-op cycle policy \
              does not terminate on a cyclic network (paper, Section 7)"
       | _ -> ());
-      (match par with
-      | Some p -> build_forest_exact_par t p order parent
-      | None -> build_forest_exact t order parent);
+      build_forest_exact t order parent;
       t.converged_iterations <- 1;
       (* On a cyclic overlay the resting state is the spanning-tree
          aggregate plus the single first-wave crossing per cycle link —

@@ -87,7 +87,6 @@ val create :
   ?rng:Ri_util.Prng.t ->
   ?mode:build_mode ->
   ?quant:Ri_core.Rowstore.quant_config ->
-  ?pool:Ri_util.Pool.t ->
   unit ->
   t
 (** [create ~graph ~content ()] builds the network.  Omitting [scheme]
@@ -105,11 +104,9 @@ val create :
 
     [quant] stores RI peer rows in the bit-packed log-quantized format
     ({!Ri_core.Rowstore.quant_config}) — the compressed-RI memory mode;
-    figure runs leave it off.  On perturbation-free networks of at
-    least [RI_PAR_BUILD_MIN] nodes (default 4096) the converged
-    construction runs level-synchronized across [pool] (default the
-    process pool), producing bit-for-bit the sequential build's state —
-    see the bit-identity notes in the implementation.
+    figure runs leave it off.  The converged construction is one
+    sequential up-and-down pass over a BFS spanning forest; trials, not
+    builds, are what runs in parallel.
 
     A [Rooted] build is one sequential pass that computes every
     reachable node's downstream reach into a flat array; no node's

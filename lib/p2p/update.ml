@@ -1,4 +1,3 @@
-open Ri_util
 open Ri_core
 
 type wave_seed = {
@@ -155,9 +154,8 @@ let note_delivered on_event ~sender ~receiver ~significant ~forwarded =
    loop below and the event engine's in-flight waves: judge
    significance against the carried (or gap-corrected) baseline, store
    the row, stamp provenance, and hand the onward exports to [forward]
-   — the sequential path enqueues them directly, the sharded path
-   buffers them per message for ordered replay, and an engine driver
-   turns each into a scheduled message. *)
+   — the wave loop enqueues them directly, and an engine driver turns
+   each into a scheduled message. *)
 let deliver_one ?plan ?on_event net ~reached ~wave_id ~forward
     { sender; receiver; payload; baseline; tainted } =
   let detect = Network.cycle_policy net = Network.Detect_recover in
@@ -222,7 +220,7 @@ let wire_cost ?plan seed = wire_bytes plan seed
    already counted when it was first sent. *)
 type item = Fresh of wave_seed | Due of wave_seed
 
-let wave ?max_messages ?on_event ?plan ?pool net ~seeds ~already_reached
+let wave ?max_messages ?on_event ?plan net ~seeds ~already_reached
     ~counters =
   if Network.has_ri net then begin
     let emit =
@@ -282,78 +280,6 @@ let wave ?max_messages ?on_event ?plan ?pool net ~seeds ~already_reached
       Fault.note_missed p ~at:receiver ~peer:sender;
       emit (Dropped { sender; receiver; dead = false })
     in
-    (* Sharded rounds.  A round's messages are fixed when it starts
-       (onward exports land in [next], never in [current]), and a
-       delivery only touches its receiver's state: the receiver's RI,
-       the receiver's byte in [reached], and — through
-       [seeds_for_change] — the receiver's own exports.  Grouping the
-       round by receiver therefore makes deliveries to distinct
-       receivers independent, and running each group's messages in
-       round order reproduces the sequential read/write sequence on
-       every store.  Budget, wire and message counters are charged at
-       drain time in pop order ([wire_bytes] reads only the carried
-       seed, so its value cannot depend on earlier deliveries), and the
-       onward seeds are replayed into [next] in round order afterwards
-       — the concatenation is bit-identical to the sequential round.
-       Faulty or observed waves stay sequential: fault draws consume a
-       shared PRNG in delivery order, and an [on_event] observer is
-       entitled to see events as they happen. *)
-    let shard_min = Env.int ~min:1 "RI_WAVE_SHARD_MIN" 64 in
-    let par_pool =
-      if
-        Option.is_none plan && Option.is_none on_event
-        && (not (Network.perturbed net))
-        && not (Pool.in_job ())
-      then
-        let p = match pool with Some p -> p | None -> Pool.global () in
-        if Pool.jobs p > 1 then Some p else None
-      else None
-    in
-    let sharded_round p =
-      let batch = ref [] in
-      while (not (Queue.is_empty current)) && !sent < budget do
-        match Queue.pop current with
-        | Due seed -> batch := seed :: !batch
-        | Fresh seed ->
-            if Network.has_link net seed.sender seed.receiver then begin
-              incr sent;
-              counters.Message.update_messages <-
-                counters.Message.update_messages + 1;
-              let bytes = wire_bytes plan seed in
-              wire := !wire + bytes;
-              counters.Message.update_wire_bytes <-
-                counters.Message.update_wire_bytes + bytes;
-              batch := seed :: !batch
-            end
-      done;
-      let batch = Array.of_list (List.rev !batch) in
-      let n_msgs = Array.length batch in
-      (* Message indices per receiver, receivers in first-appearance
-         order; each group keeps its indices in round order. *)
-      let groups : (int, int list) Hashtbl.t = Hashtbl.create (2 * n_msgs) in
-      let order = ref [] in
-      Array.iteri
-        (fun i s ->
-          match Hashtbl.find_opt groups s.receiver with
-          | Some is -> Hashtbl.replace groups s.receiver (i :: is)
-          | None ->
-              Hashtbl.add groups s.receiver [ i ];
-              order := s.receiver :: !order)
-        batch;
-      let order = Array.of_list (List.rev !order) in
-      let onward = Array.make (max 1 n_msgs) [] in
-      Pool.iter ~label:"update_wave" p ~n:(Array.length order) (fun g ->
-          let is = List.rev (Hashtbl.find groups order.(g)) in
-          List.iter
-            (fun i ->
-              let acc = ref [] in
-              deliver ~forward:(fun s -> acc := s :: !acc) batch.(i);
-              onward.(i) <- List.rev !acc)
-            is);
-      for i = 0 to n_msgs - 1 do
-        List.iter forward_next onward.(i)
-      done
-    in
     let more () =
       (not (Queue.is_empty current))
       || (not (Queue.is_empty next))
@@ -370,81 +296,76 @@ let wave ?max_messages ?on_event ?plan ?pool net ~seeds ~already_reached
           emit (Round { index = !round; pending = Queue.length current })
       end
       else
-        match par_pool with
-        | Some p when Queue.length current >= shard_min -> sharded_round p
-        | _ -> (
-            match Queue.pop current with
-            | Due seed -> (
-                match plan with
-                | Some p when not (Fault.same_side p seed.sender seed.receiver)
-                  ->
-                    (* The message was in flight when the cut activated
-                       (or was delayed across it): it never lands. *)
-                    severed p seed
-                | _ -> deliver ~forward:forward_next seed)
-            | Fresh seed
-              when not (Network.has_link net seed.sender seed.receiver) ->
-                (* A row can outlive its link mid-churn: rows drive the
-                   exports, so a node whose neighbor just vanished still
-                   addresses it until its own cleanup runs.  There is no
-                   link to carry the message — nothing is sent or
-                   counted, and above all the departed node must not
-                   relay the very wave announcing its departure. *)
-                ()
-            | Fresh seed -> (
-                incr sent;
-                counters.Message.update_messages <-
-                  counters.Message.update_messages + 1;
-                let bytes = wire_bytes plan seed in
-                wire := !wire + bytes;
-                counters.Message.update_wire_bytes <-
-                  counters.Message.update_wire_bytes + bytes;
-                match plan with
-                | Some p when not (Fault.same_side p seed.sender seed.receiver)
-                  ->
-                    severed p seed
-                | Some p when Fault.is_dead p seed.receiver ->
-                    Fault.note_drop p ~dead:true;
-                    (* No acknowledgement will ever come back from a
-                       crash-stopped neighbor: the sender's failure
-                       detector marks its own row toward the silent node
-                       as suspect — the row still advertises a subtree
-                       nothing can reach. *)
-                    Fault.note_missed p ~at:seed.sender ~peer:seed.receiver;
-                    emit
-                      (Dropped
-                         {
-                           sender = seed.sender;
-                           receiver = seed.receiver;
-                           dead = true;
-                         })
-                | Some p when Fault.drop_update p ->
-                    Fault.note_drop p ~dead:false;
-                    Fault.note_missed p ~at:seed.receiver ~peer:seed.sender;
-                    emit
-                      (Dropped
-                         {
-                           sender = seed.sender;
-                           receiver = seed.receiver;
-                           dead = false;
-                         })
-                | Some p when Fault.delay_update p ->
-                    let rounds = 1 + (Fault.spec p).Fault.delay_waves in
-                    Fault.note_delay p;
-                    (* Until the late message lands the receiver has a
-                       detectable sequence gap, exactly as for a loss;
-                       the eventual delivery heals it through the
-                       missed-branch above. *)
-                    Fault.note_missed p ~at:seed.receiver ~peer:seed.sender;
-                    delayed := !delayed @ [ (!round + rounds, seed) ];
-                    emit
-                      (Delayed
-                         {
-                           sender = seed.sender;
-                           receiver = seed.receiver;
-                           rounds;
-                         })
-                | _ -> deliver ~forward:forward_next seed))
+        match Queue.pop current with
+        | Due seed -> (
+            match plan with
+            | Some p when not (Fault.same_side p seed.sender seed.receiver) ->
+                (* The message was in flight when the cut activated
+                   (or was delayed across it): it never lands. *)
+                severed p seed
+            | _ -> deliver ~forward:forward_next seed)
+        | Fresh seed when not (Network.has_link net seed.sender seed.receiver)
+          ->
+            (* A row can outlive its link mid-churn: rows drive the
+               exports, so a node whose neighbor just vanished still
+               addresses it until its own cleanup runs.  There is no
+               link to carry the message — nothing is sent or
+               counted, and above all the departed node must not
+               relay the very wave announcing its departure. *)
+            ()
+        | Fresh seed -> (
+            incr sent;
+            counters.Message.update_messages <-
+              counters.Message.update_messages + 1;
+            let bytes = wire_bytes plan seed in
+            wire := !wire + bytes;
+            counters.Message.update_wire_bytes <-
+              counters.Message.update_wire_bytes + bytes;
+            match plan with
+            | Some p when not (Fault.same_side p seed.sender seed.receiver) ->
+                severed p seed
+            | Some p when Fault.is_dead p seed.receiver ->
+                Fault.note_drop p ~dead:true;
+                (* No acknowledgement will ever come back from a
+                   crash-stopped neighbor: the sender's failure
+                   detector marks its own row toward the silent node
+                   as suspect — the row still advertises a subtree
+                   nothing can reach. *)
+                Fault.note_missed p ~at:seed.sender ~peer:seed.receiver;
+                emit
+                  (Dropped
+                     {
+                       sender = seed.sender;
+                       receiver = seed.receiver;
+                       dead = true;
+                     })
+            | Some p when Fault.drop_update p ->
+                Fault.note_drop p ~dead:false;
+                Fault.note_missed p ~at:seed.receiver ~peer:seed.sender;
+                emit
+                  (Dropped
+                     {
+                       sender = seed.sender;
+                       receiver = seed.receiver;
+                       dead = false;
+                     })
+            | Some p when Fault.delay_update p ->
+                let rounds = 1 + (Fault.spec p).Fault.delay_waves in
+                Fault.note_delay p;
+                (* Until the late message lands the receiver has a
+                   detectable sequence gap, exactly as for a loss;
+                   the eventual delivery heals it through the
+                   missed-branch above. *)
+                Fault.note_missed p ~at:seed.receiver ~peer:seed.sender;
+                delayed := !delayed @ [ (!round + rounds, seed) ];
+                emit
+                  (Delayed
+                     {
+                       sender = seed.sender;
+                       receiver = seed.receiver;
+                       rounds;
+                     })
+            | _ -> deliver ~forward:forward_next seed)
     done;
     if Ri_obs.Metrics.enabled () then begin
       Ri_obs.Metrics.incr m_waves;
@@ -454,7 +375,7 @@ let wave ?max_messages ?on_event ?plan ?pool net ~seeds ~already_reached
     end
   end
 
-let propagate ?on_event ?plan ?pool net ~origin ~counters =
+let propagate ?on_event ?plan net ~origin ~counters =
   if Network.has_ri net then
     let tainted peer =
       match plan with
@@ -473,14 +394,14 @@ let propagate ?on_event ?plan ?pool net ~origin ~counters =
           })
         (Network.outgoing_exports net origin)
     in
-    wave ?on_event ?plan ?pool net ~seeds ~already_reached:[ origin ] ~counters
+    wave ?on_event ?plan net ~seeds ~already_reached:[ origin ] ~counters
 
-let local_change ?on_event ?plan ?pool net ~origin ~summary ~counters =
+let local_change ?on_event ?plan net ~origin ~summary ~counters =
   let seeds =
     seeds_for_change ?plan net ~at:origin ~except:[] ~mutate:(fun () ->
         Network.set_local_summary net origin summary)
   in
-  wave ?on_event ?plan ?pool net ~seeds ~already_reached:[ origin ] ~counters
+  wave ?on_event ?plan net ~seeds ~already_reached:[ origin ] ~counters
 
 (* One periodic anti-entropy round: every live, connected link exchanges
    digests (per-row wave stamps + link sequence state), and links with

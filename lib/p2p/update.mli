@@ -82,7 +82,6 @@ type event =
 val local_change :
   ?on_event:(event -> unit) ->
   ?plan:Fault.t ->
-  ?pool:Ri_util.Pool.t ->
   Network.t ->
   origin:int ->
   summary:Ri_content.Summary.t ->
@@ -97,7 +96,6 @@ val local_change :
 val propagate :
   ?on_event:(event -> unit) ->
   ?plan:Fault.t ->
-  ?pool:Ri_util.Pool.t ->
   Network.t ->
   origin:int ->
   counters:Message.counters ->
@@ -211,7 +209,6 @@ val wave :
   ?max_messages:int ->
   ?on_event:(event -> unit) ->
   ?plan:Fault.t ->
-  ?pool:Ri_util.Pool.t ->
   Network.t ->
   seeds:wave_seed list ->
   already_reached:int list ->
@@ -253,16 +250,4 @@ val wave :
     Bellman-Ford count-to-infinity failure — and would circulate
     forever.  Real deployments batch and rate-limit updates; the budget
     stands in for that and never binds on configurations where the
-    damping works.
-
-    {b Sharded rounds.}  On a fault-free, unperturbed, unobserved wave
-    (no [plan], no [on_event], no perturbation model) whose current
-    message generation holds at least [RI_WAVE_SHARD_MIN] messages
-    (default 64), deliveries are grouped by receiver and the groups run
-    across [pool] (default the process pool) — bit-for-bit identical to
-    the sequential wave, because a delivery only touches its receiver's
-    state and each receiver's messages keep their round order.
-    Bookkeeping (budget, wire bytes, counters) is charged in the
-    original order at round start, and onward exports are replayed into
-    the next generation in the original order afterwards.  Waves with a
-    fault plan, an observer, or perturbation always run sequentially. *)
+    damping works. *)

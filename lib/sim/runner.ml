@@ -44,7 +44,7 @@ let run ?pool spec f =
       else min wave_batch (spec.max_trials - !next)
     in
     let base = !next in
-    let obs = Pool.map_chunked ~chunk:1 pool ~n:wave (fun i -> f ~trial:(base + i)) in
+    let obs = Pool.map pool ~n:wave (fun i -> f ~trial:(base + i)) in
     Array.iter (Stats.Acc.add acc) obs;
     Metrics.incr m_waves;
     Metrics.add m_trials wave;

@@ -414,9 +414,8 @@ let load path (cfg : Config.t) ~trial =
         | None -> bad "a No-RI configuration cannot load index state"
       in
       (* Each node's slice of the row sections is fixed by the prefix
-         sums of the counts, so the per-node store rebuild is pure and
-         big loads fan it across the pool — every store lands at its
-         own index, order-free. *)
+         sums of the counts, so each node's store is rebuilt from its
+         own slice alone. *)
       let bases = Array.make (n + 1) 0 in
       for v = 0 to n - 1 do
         let count = Int32.to_int (Bytes.get_int32_le counts_b (4 * v)) in
@@ -453,15 +452,7 @@ let load path (cfg : Config.t) ~trial =
           (Scheme.create ~rows:1 ?quant kind ~width ~local:locals.(v))
           store
       in
-      let ris =
-        let pool = Pool.global () in
-        if
-          Pool.jobs pool > 1
-          && (not (Pool.in_job ()))
-          && n >= Env.int ~min:1 "RI_PAR_BUILD_MIN" 4096
-        then Pool.map_chunked ~chunk:256 ~label:"snap_load" pool ~n build
-        else Array.init n build
-      in
+      let ris = Array.init n build in
       let placement =
         {
           Placement.matches;

@@ -50,29 +50,6 @@ let g_net_generated = g_network_source "generated"
 
 let g_net_snapshot = g_network_source "snapshot"
 
-(* Per-phase shard gauges, keyed by the [~label] each sharded site
-   passes to [Pool.iter].  Labels are a small fixed set (update_wave,
-   placement, ri_build, ...) and registration is idempotent, so
-   creating them at export time is cheap and needs no pre-declared
-   list. *)
-let g_shard ~phase what help =
-  Metrics.gauge ~help ~labels:[ ("phase", phase) ] ("ri_pool_shard_" ^ what)
-
-let export_label (phase, l) =
-  let waves = max 1 l.Pool.l_waves in
-  let setf what help v = Metrics.set (g_shard ~phase what help) v in
-  let seti what help v = setf what help (float_of_int v) in
-  seti "waves" "Sharded waves under this phase." l.Pool.l_waves;
-  seti "items" "Shard indices executed." l.Pool.l_items;
-  seti "steals" "Chunks claimed by non-submitting domains." l.Pool.l_steals;
-  seti "inline_waves" "Waves that ran sequentially." l.Pool.l_inline;
-  setf "busy_domains_avg" "Mean domains that claimed a chunk per wave."
-    (float_of_int l.Pool.l_busy /. float_of_int waves);
-  setf "idle_domains_avg"
-    "Mean domains left idle per wave (shard imbalance)."
-    (float_of_int l.Pool.l_idle /. float_of_int waves);
-  setf "submit_wait_seconds" "Submitter straggler wait." l.Pool.l_wait_s
-
 let export_metrics () =
   let s = Setup_cache.stats () in
   Metrics.set g_graph_hits (float_of_int s.Setup_cache.graph_hits);
@@ -85,7 +62,6 @@ let export_metrics () =
   Metrics.set g_baseline_misses (float_of_int s.Setup_cache.baseline_misses);
   Metrics.set g_net_generated (float_of_int s.Setup_cache.network_generated);
   Metrics.set g_net_snapshot (float_of_int s.Setup_cache.network_snapshot);
-  List.iter export_label (Pool.label_stats (Pool.global ()));
   let pool = Pool.global () in
   let p = Pool.stats pool in
   Metrics.set g_pool_jobs (float_of_int (Pool.jobs pool));
@@ -142,27 +118,10 @@ let cache_line () =
 let pool_line () =
   let pool = Pool.global () in
   let p = Pool.stats pool in
-  let phases =
-    List.filter_map
-      (fun (label, l) ->
-        if l.Pool.l_waves = 0 then None
-        else
-          let waves = float_of_int l.Pool.l_waves in
-          Some
-            (Printf.sprintf
-               "  phase %-12s %6d waves / %8d shards, %.1f busy / %.1f idle \
-                domains, %d steals, %d inline, %.2fs wait"
-               label l.Pool.l_waves l.Pool.l_items
-               (float_of_int l.Pool.l_busy /. waves)
-               (float_of_int l.Pool.l_idle /. waves)
-               l.Pool.l_steals l.Pool.l_inline l.Pool.l_wait_s))
-      (Pool.label_stats pool)
-  in
   Printf.sprintf
     "pool: %d domains, %d waves / %d trials (max wave %d), %.1f domains busy \
-     per wave, %.2fs straggler wait%s"
+     per wave, %.2fs straggler wait"
     (Pool.jobs pool) p.Pool.waves p.Pool.items p.Pool.max_wave
     (if p.Pool.waves = 0 then 0.
      else float_of_int p.Pool.busy_domains /. float_of_int p.Pool.waves)
     p.Pool.submit_wait_s
-    (match phases with [] -> "" | ps -> "\n" ^ String.concat "\n" ps)

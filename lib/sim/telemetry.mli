@@ -5,11 +5,9 @@
 
 val export_metrics : unit -> unit
 (** Snapshot current setup-cache and global-pool statistics into
-    gauges ([ri_setup_cache_*], [ri_pool_*]), including one
-    [ri_pool_shard_*{phase=...}] family per labeled sharding site
-    (update_wave, placement, ri_build): busy/idle domain averages,
-    steal and inline-wave counters, straggler wait — and the per-phase
-    GC deltas as [ri_gc_*{phase=...}] gauges ({!Ri_obs.Gcprof}).  Call
+    gauges ([ri_setup_cache_*], [ri_pool_*]) — the pool's items are
+    trials, the one unit that runs in parallel — and the per-phase GC
+    deltas as [ri_gc_*{phase=...}] gauges ({!Ri_obs.Gcprof}).  Call
     just before {!Ri_obs.Metrics.render}. *)
 
 val render_metrics : unit -> string
@@ -30,6 +28,6 @@ val cache_line : unit -> string
     tag. *)
 
 val pool_line : unit -> string
-(** e.g. ["pool: 4 domains, 12 waves / 96 trials (max wave 8), ..."];
-    labeled sharding phases append one per-phase efficiency line
-    each. *)
+(** e.g. ["pool: 4 domains, 12 waves / 96 trials (max wave 8), ..."].
+    Only trials are submitted to the pool, so the item count is the
+    number of trials run. *)

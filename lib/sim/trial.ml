@@ -221,10 +221,9 @@ let run_query_on ?on_event ?decide ?plan (cfg : Config.t) setup =
    view draws the causal tree and the flat [--trace] view lists the
    children in push order.  Message records carry [cat], fault records
    "fault".  A hook is only built over a live sink, so the disabled path
-   passes [None] and the p2p layer keeps its no-op default; its mere
-   presence keeps the update wave on the sequential path (the sharded
-   rounds require no observer), so record order is deterministic at any
-   pool width. *)
+   passes [None] and the p2p layer keeps its no-op default.  A trial's
+   waves run on the domain that runs the trial, so record order is
+   deterministic at any pool width. *)
 let query_hook sink ~cat root =
   if not (Span.is_live sink) then None
   else

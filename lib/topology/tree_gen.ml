@@ -4,11 +4,10 @@ open Ri_util
    builder: in the structural tree (node 0 the root, node c's parent
    [(c - 1) / fanout]) every node's neighbor set is a closed form —
    parent [(c - 1) / fanout] plus children [c*fanout + 1 .. c*fanout +
-   fanout] capped at [n - 1] — so each sorted adjacency row can be
-   emitted independently, and the whole construction parallelizes over
-   nodes.  Sorted adjacency is a function of the edge set alone, so the
-   result is identical to [Graph.of_edges] over the same edges at any
-   pool width. *)
+   fanout] capped at [n - 1] — so each sorted adjacency row is emitted
+   on its own, with no edge list to sort.  Sorted adjacency is a
+   function of the edge set alone, so the result is identical to
+   [Graph.of_edges] over the same edges. *)
 
 let structural_row ~n ~fanout c =
   let lo = (c * fanout) + 1 in
@@ -26,29 +25,26 @@ let structural_row ~n ~fanout c =
 let regular ~n ~fanout =
   if n <= 0 then invalid_arg "Tree_gen.regular: n must be positive";
   if fanout <= 0 then invalid_arg "Tree_gen.regular: fanout must be positive";
-  let adj =
-    Pool.map_chunked ~chunk:1024 ~label:"topo_tree" (Pool.global ()) ~n
-      (fun c -> structural_row ~n ~fanout c)
-  in
-  Graph.of_sorted_adjacency adj
+  Graph.of_sorted_adjacency (Array.init n (structural_row ~n ~fanout))
 
 let random_labels g ~n ~fanout =
   if n <= 0 then invalid_arg "Tree_gen.random_labels: n must be positive";
   if fanout <= 0 then
     invalid_arg "Tree_gen.random_labels: fanout must be positive";
   (* The permutation consumes the PRNG exactly as the edge-list version
-     did, before any parallel work — the stream stays aligned. *)
+     did — the stream stays aligned. *)
   let perm = Array.init n Fun.id in
   Prng.shuffle_in_place g perm;
   let adj = Array.make n [||] in
-  Pool.iter ~chunk:1024 ~label:"topo_tree" (Pool.global ()) ~n (fun c ->
-      let row = structural_row ~n ~fanout c in
-      for i = 0 to Array.length row - 1 do
-        row.(i) <- perm.(row.(i))
-      done;
-      Array.sort Int.compare row;
-      (* [perm] is a bijection: each index writes a distinct cell. *)
-      adj.(perm.(c)) <- row);
+  for c = 0 to n - 1 do
+    let row = structural_row ~n ~fanout c in
+    for i = 0 to Array.length row - 1 do
+      row.(i) <- perm.(row.(i))
+    done;
+    Array.sort Int.compare row;
+    (* [perm] is a bijection: each index writes a distinct cell. *)
+    adj.(perm.(c)) <- row
+  done;
   Graph.of_sorted_adjacency adj
 
 let random_attachment g ~n ~max_children =

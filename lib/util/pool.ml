@@ -1,27 +1,22 @@
 (* A hand-rolled fixed-size domain pool (Domainslib is not available in
    this tree).  [jobs - 1] worker domains block on a condition variable;
    each submitted job is a counted range [0, n) that workers and the
-   submitting domain drain together by claiming [chunk]-sized slices
+   submitting domain drain together by claiming one index at a time
    from an atomic cursor.  With [jobs = 1] no domains exist and every
    job runs inline on the caller, which keeps the sequential path free
    of synchronization overhead.
 
-   Re-entrancy: a domain that is already draining a job (a runner trial
-   executing on a pool worker) may itself call [iter] — the nested call
-   detects the situation through a domain-local flag and runs inline,
-   sequentially, instead of deadlocking on the single-submitter
-   protocol.  This is what lets intra-trial parallel code (RI builds,
-   update-wave sharding) be written unconditionally: under a figure run
-   it degrades to the exact sequential loop. *)
+   Re-entrancy: a domain that is already draining a job may itself call
+   [iter] — the nested call detects the situation through a domain-local
+   flag and runs inline, sequentially, instead of deadlocking on the
+   single-submitter protocol. *)
 
 type job = {
   run : int -> unit;
   n : int;
-  chunk : int;
   next : int Atomic.t;  (* first unclaimed index *)
   remaining : int Atomic.t;  (* indices claimed but not yet credited *)
-  participants : int Atomic.t;  (* domains that claimed >= 1 chunk *)
-  stolen : int Atomic.t;  (* chunks claimed by non-submitting domains *)
+  participants : int Atomic.t;  (* domains that claimed >= 1 index *)
   mutable failed : (exn * Printexc.raw_backtrace) option;
       (* first failure, with the trace from the domain where it was
          raised; protected by the pool mutex *)
@@ -35,16 +30,6 @@ type stats = {
   submit_wait_s : float;
 }
 
-type label_stats = {
-  l_waves : int;
-  l_items : int;
-  l_busy : int;
-  l_steals : int;
-  l_idle : int;
-  l_inline : int;
-  l_wait_s : float;
-}
-
 (* Utilization accounting is a few mutations per submitted wave, not per
    item, so it stays on unconditionally. *)
 type stats_acc = {
@@ -53,16 +38,6 @@ type stats_acc = {
   mutable s_max_wave : int;
   mutable s_busy : int;
   mutable s_wait : float;
-}
-
-type label_acc = {
-  mutable a_waves : int;
-  mutable a_items : int;
-  mutable a_busy : int;
-  mutable a_steals : int;
-  mutable a_idle : int;
-  mutable a_inline : int;
-  mutable a_wait : float;
 }
 
 type t = {
@@ -75,7 +50,6 @@ type t = {
   mutable stopped : bool;
   mutable domains : unit Domain.t list;
   acc : stats_acc;  (* protected by [m] *)
-  labels : (string, label_acc) Hashtbl.t;  (* protected by [m] *)
 }
 
 let jobs t = t.jobs
@@ -93,31 +67,25 @@ let record_failure t j e bt =
   if j.failed = None then j.failed <- Some (e, bt);
   Mutex.unlock t.m
 
-(* Drain the current job: claim chunks until the cursor passes [n].
+(* Drain the current job: claim indices until the cursor passes [n].
    Whoever credits the last index broadcasts completion.  A failing item
    is recorded but does not abandon the job — the range must be fully
    credited or the submitter would wait forever. *)
-let execute ?(submitter = false) t j =
+let execute t j =
   let claimed_any = ref false in
   let flag = Domain.DLS.get in_job_flag in
   let was = !flag in
   flag := true;
   let rec claim () =
-    let start = Atomic.fetch_and_add j.next j.chunk in
-    if start < j.n then begin
+    let i = Atomic.fetch_and_add j.next 1 in
+    if i < j.n then begin
       if not !claimed_any then begin
         claimed_any := true;
         Atomic.incr j.participants
       end;
-      if not submitter then Atomic.incr j.stolen;
-      let stop = min j.n (start + j.chunk) in
-      (try
-         for i = start to stop - 1 do
-           j.run i
-         done
+      (try j.run i
        with e -> record_failure t j e (Printexc.get_raw_backtrace ()));
-      let credited = stop - start in
-      if Atomic.fetch_and_add j.remaining (-credited) = credited then begin
+      if Atomic.fetch_and_add j.remaining (-1) = 1 then begin
         Mutex.lock t.m;
         Condition.broadcast t.finished;
         Mutex.unlock t.m
@@ -154,7 +122,6 @@ let create ~jobs:requested =
       stopped = false;
       domains = [];
       acc = { s_waves = 0; s_items = 0; s_max_wave = 0; s_busy = 0; s_wait = 0. };
-      labels = Hashtbl.create 8;
     }
   in
   t.domains <- List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker t 0));
@@ -185,27 +152,6 @@ let stats t =
   Mutex.unlock t.m;
   s
 
-let label_stats t =
-  Mutex.lock t.m;
-  let out =
-    Hashtbl.fold
-      (fun name a acc ->
-        ( name,
-          {
-            l_waves = a.a_waves;
-            l_items = a.a_items;
-            l_busy = a.a_busy;
-            l_steals = a.a_steals;
-            l_idle = a.a_idle;
-            l_inline = a.a_inline;
-            l_wait_s = a.a_wait;
-          } )
-        :: acc)
-      t.labels []
-  in
-  Mutex.unlock t.m;
-  List.sort (fun (a, _) (b, _) -> String.compare a b) out
-
 let reset_stats t =
   Mutex.lock t.m;
   t.acc.s_waves <- 0;
@@ -213,69 +159,35 @@ let reset_stats t =
   t.acc.s_max_wave <- 0;
   t.acc.s_busy <- 0;
   t.acc.s_wait <- 0.;
-  Hashtbl.reset t.labels;
   Mutex.unlock t.m
 
-(* Callers hold no lock; the label table is touched under [m] only. *)
-let label_acc_locked t name =
-  match Hashtbl.find_opt t.labels name with
-  | Some a -> a
-  | None ->
-      let a =
-        {
-          a_waves = 0;
-          a_items = 0;
-          a_busy = 0;
-          a_steals = 0;
-          a_idle = 0;
-          a_inline = 0;
-          a_wait = 0.;
-        }
-      in
-      Hashtbl.add t.labels name a;
-      a
-
-let note_wave ?label t ~n ~busy ~steals ~inline ~wait =
+let note_wave t ~n ~busy ~wait =
   Mutex.lock t.m;
   t.acc.s_waves <- t.acc.s_waves + 1;
   t.acc.s_items <- t.acc.s_items + n;
   if n > t.acc.s_max_wave then t.acc.s_max_wave <- n;
   t.acc.s_busy <- t.acc.s_busy + busy;
   t.acc.s_wait <- t.acc.s_wait +. wait;
-  (match label with
-  | None -> ()
-  | Some name ->
-      let a = label_acc_locked t name in
-      a.a_waves <- a.a_waves + 1;
-      a.a_items <- a.a_items + n;
-      a.a_busy <- a.a_busy + busy;
-      a.a_steals <- a.a_steals + steals;
-      a.a_idle <- a.a_idle + max 0 (t.jobs - busy);
-      if inline then a.a_inline <- a.a_inline + 1;
-      a.a_wait <- a.a_wait +. wait);
   Mutex.unlock t.m
 
-let iter ?chunk ?label t ~n f =
+let iter t ~n f =
   if n < 0 then invalid_arg "Pool.iter: negative n";
   if t.stopped then invalid_arg "Pool.iter: pool is shut down";
-  let chunk = max 1 (Option.value chunk ~default:1) in
   if n > 0 then
     if t.jobs = 1 || n = 1 || in_job () then begin
       for i = 0 to n - 1 do
         f i
       done;
-      note_wave ?label t ~n ~busy:1 ~steals:0 ~inline:true ~wait:0.
+      note_wave t ~n ~busy:1 ~wait:0.
     end
     else begin
       let j =
         {
           run = f;
           n;
-          chunk;
           next = Atomic.make 0;
           remaining = Atomic.make n;
           participants = Atomic.make 0;
-          stolen = Atomic.make 0;
           failed = None;
         }
       in
@@ -284,7 +196,7 @@ let iter ?chunk ?label t ~n f =
       t.gen <- t.gen + 1;
       Condition.broadcast t.has_work;
       Mutex.unlock t.m;
-      execute ~submitter:true t j;
+      execute t j;
       (* Whatever the submitter now spends under [finished] is straggler
          wait: its own share of the range is already drained. *)
       let t0 = Unix.gettimeofday () in
@@ -294,8 +206,7 @@ let iter ?chunk ?label t ~n f =
       done;
       t.job <- None;
       Mutex.unlock t.m;
-      note_wave ?label t ~n ~busy:(Atomic.get j.participants)
-        ~steals:(Atomic.get j.stolen) ~inline:false
+      note_wave t ~n ~busy:(Atomic.get j.participants)
         ~wait:(Unix.gettimeofday () -. t0);
       (* Re-raise on the submitter with the worker's own backtrace — a
          bare [raise] here would point every pool failure at this line
@@ -305,10 +216,10 @@ let iter ?chunk ?label t ~n f =
       | None -> ()
     end
 
-let map_chunked ?chunk ?label t ~n f =
-  if n < 0 then invalid_arg "Pool.map_chunked: negative n";
+let map t ~n f =
+  if n < 0 then invalid_arg "Pool.map: negative n";
   let out = Array.make n None in
-  iter ?chunk ?label t ~n (fun i -> out.(i) <- Some (f i));
+  iter t ~n (fun i -> out.(i) <- Some (f i));
   Array.map (function Some v -> v | None -> assert false) out
 
 let default_jobs () =
@@ -324,26 +235,9 @@ let global () =
       global_pool := Some p;
       p
 
-(* Resizing keeps the accumulated utilization counters: a run that
-   switches widths mid-flight (the scale sweep's 1-core comparison
-   builds) still reports every phase it executed, not just the phases
-   that ran after the last switch. *)
 let set_global_jobs jobs =
-  let prev = !global_pool in
-  (match prev with Some p -> shutdown p | None -> ());
-  let p = create ~jobs in
-  (match prev with
-  | Some old ->
-      p.acc.s_waves <- old.acc.s_waves;
-      p.acc.s_items <- old.acc.s_items;
-      p.acc.s_max_wave <- old.acc.s_max_wave;
-      p.acc.s_busy <- old.acc.s_busy;
-      p.acc.s_wait <- old.acc.s_wait;
-      (* The old pool is shut down; adopting its accumulator records is
-         race-free. *)
-      Hashtbl.iter (fun name a -> Hashtbl.add p.labels name a) old.labels
-  | None -> ());
-  global_pool := Some p
+  Option.iter shutdown !global_pool;
+  global_pool := Some (create ~jobs)
 
 let with_pool ~jobs f =
   let p = create ~jobs in

@@ -1,18 +1,20 @@
 (** Fixed-size domain pool for embarrassingly parallel index ranges.
 
     Simulation trials are independently seeded, so whole waves of them
-    can run on separate OCaml 5 domains.  A pool owns [jobs - 1] worker
-    domains (the submitting domain participates as the [jobs]-th
-    worker); a pool created with [jobs = 1] owns no domains at all and
-    runs every job inline, which is the sequential path.
+    can run on separate OCaml 5 domains.  Trials are the one unit that
+    runs in parallel: the runner and the traffic driver submit them, and
+    everything inside a trial is sequential code.  A pool owns
+    [jobs - 1] worker domains (the submitting domain participates as
+    the [jobs]-th worker); a pool created with [jobs = 1] owns no
+    domains at all and runs every job inline, which is the sequential
+    path.
 
     A pool has a single top-level submitter at a time, but submissions
     are re-entrant in one specific way: an item function that itself
-    calls {!iter} (intra-trial parallel code running inside a runner
-    trial) is detected through a domain-local flag and runs inline,
-    sequentially — the exact loop a 1-job pool would run — instead of
-    deadlocking on the submitter protocol.  Item functions run
-    concurrently and must not share unsynchronized mutable state. *)
+    calls {!iter} is detected through a domain-local flag and runs
+    inline, sequentially — the exact loop a 1-job pool would run —
+    instead of deadlocking on the submitter protocol.  Item functions
+    run concurrently and must not share unsynchronized mutable state. *)
 
 type t
 
@@ -24,24 +26,20 @@ val jobs : t -> int
 
 val in_job : unit -> bool
 (** Whether the calling domain is currently executing a pool item.  An
-    {!iter} from such a context runs inline; callers that restructure
-    work for parallelism (batching, sharding) can use this to skip the
-    restructuring when it cannot pay off. *)
+    {!iter} from such a context runs inline. *)
 
-val iter : ?chunk:int -> ?label:string -> t -> n:int -> (int -> unit) -> unit
-(** [iter t ~n f] runs [f 0 .. f (n-1)], claiming [chunk]-sized slices
-    (default [1]) across the pool's domains.  Returns when all [n]
-    items have finished.  On a 1-job pool — or when called from inside
-    a running pool item, see {!in_job} — this is a plain [for] loop,
-    raising as soon as [f] does; on a wider pool the first recorded
-    exception is re-raised after in-flight items settle, carrying the
-    backtrace captured in the domain where it was raised.  [label]
-    attributes the wave to a named phase in {!label_stats}. *)
+val iter : t -> n:int -> (int -> unit) -> unit
+(** [iter t ~n f] runs [f 0 .. f (n-1)], each domain claiming one index
+    at a time.  Returns when all [n] items have finished.  On a 1-job
+    pool — or when called from inside a running pool item, see
+    {!in_job} — this is a plain [for] loop, raising as soon as [f]
+    does; on a wider pool the first recorded exception is re-raised
+    after in-flight items settle, carrying the backtrace captured in
+    the domain where it was raised. *)
 
-val map_chunked :
-  ?chunk:int -> ?label:string -> t -> n:int -> (int -> 'a) -> 'a array
-(** [map_chunked t ~n f] is [[| f 0; ...; f (n-1) |]], computed like
-    {!iter}.  Results land at their own index, so the output order is
+val map : t -> n:int -> (int -> 'a) -> 'a array
+(** [map t ~n f] is [[| f 0; ...; f (n-1) |]], computed like {!iter}.
+    Results land at their own index, so the output order is
     deterministic regardless of scheduling. *)
 
 val shutdown : t -> unit
@@ -55,7 +53,7 @@ type stats = {
   items : int;  (** total indices across all waves *)
   max_wave : int;  (** largest single wave *)
   busy_domains : int;
-      (** sum over waves of domains that claimed at least one chunk;
+      (** sum over waves of domains that claimed at least one item;
           [busy_domains / waves] is the mean parallel width achieved *)
   submit_wait_s : float;
       (** total seconds the submitter spent blocked on stragglers after
@@ -64,28 +62,8 @@ type stats = {
 
 val stats : t -> stats
 
-(** Per-phase utilization, keyed by the [label] passed to {!iter} —
-    the parallel-efficiency numbers behind the shard gauges in
-    [Ri_obs.Metrics].  Unlabeled waves only feed {!stats}. *)
-type label_stats = {
-  l_waves : int;  (** waves under this label, inline runs included *)
-  l_items : int;  (** total shard indices *)
-  l_busy : int;  (** sum over waves of domains that claimed a chunk *)
-  l_steals : int;
-      (** chunks claimed by non-submitting domains — work that actually
-          migrated off the submitter *)
-  l_idle : int;
-      (** sum over waves of domains that never claimed a chunk — the
-          imbalance counter: idle capacity while the wave ran *)
-  l_inline : int;  (** waves that ran sequentially (nested or 1-job) *)
-  l_wait_s : float;  (** submitter straggler wait, as in {!stats} *)
-}
-
-val label_stats : t -> (string * label_stats) list
-(** Sorted by label name. *)
-
 val reset_stats : t -> unit
-(** Clears both the aggregate counters and every label's. *)
+(** Zeroes the counters. *)
 
 val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** Create, run, and always shut down (exception-safe). *)
@@ -101,4 +79,5 @@ val global : unit -> t
 
 val set_global_jobs : int -> unit
 (** Replace the global pool with one of the given width (shutting down
-    the old one).  Used by command-line [--jobs] flags. *)
+    the old one); the new pool's counters start at zero.  Used by
+    command-line [--jobs] flags. *)

@@ -98,34 +98,32 @@ let test_determinism () =
   Alcotest.(check bool) "same seed same placement" true
     (a.Placement.matches = b.Placement.matches)
 
-(* Above RI_PLACE_SHARD_MIN the background pass runs in fixed 4096-node
-   shards, each on a stream split off the parent in shard order: the
-   layout may depend only on [n] and the seed, never on how many pool
-   domains drained the shards.  9000 nodes exercises three shards. *)
-let test_shard_determinism_across_widths () =
-  let with_env name value f =
-    let old = Sys.getenv_opt name in
-    Unix.putenv name value;
-    Fun.protect
-      ~finally:(fun () ->
-        Unix.putenv name (match old with Some v -> v | None -> ""))
-      f
+(* The background pass draws every node's documents from the one
+   stream at every size, so the layout depends only on [n] and the seed:
+   not on the global pool's width, nor on whether the call runs inside
+   a pool item, as a runner trial does.  40000 nodes is above the size
+   where the layout once switched to per-shard streams. *)
+let test_layout_invariant_under_pool () =
+  let build () = distribute ~seed:5 ~n:40_000 ~results:400 ~background:2.0 () in
+  let top_level jobs =
+    let prev = Pool.jobs (Pool.global ()) in
+    Pool.set_global_jobs jobs;
+    Fun.protect ~finally:(fun () -> Pool.set_global_jobs prev) build
   in
-  with_env "RI_PLACE_SHARD_MIN" "64" (fun () ->
-      let build jobs =
-        let prev = Pool.jobs (Pool.global ()) in
-        Pool.set_global_jobs jobs;
-        Fun.protect
-          ~finally:(fun () -> Pool.set_global_jobs prev)
-          (fun () ->
-            distribute ~seed:5 ~n:9000 ~results:400 ~background:2.0 ())
-      in
-      let a = build 1 in
-      let b = build 4 in
-      Alcotest.(check bool) "matches equal" true
-        (a.Placement.matches = b.Placement.matches);
-      Alcotest.(check bool) "summaries bit-identical" true
-        (a.Placement.summaries = b.Placement.summaries))
+  let in_item () =
+    Pool.with_pool ~jobs:2 (fun pool ->
+        (Pool.map pool ~n:2 (fun _ -> build ())).(0))
+  in
+  let a = top_level 1 in
+  let b = top_level 4 in
+  let c = in_item () in
+  Alcotest.(check bool) "matches equal" true
+    (a.Placement.matches = b.Placement.matches
+    && a.Placement.matches = c.Placement.matches);
+  Alcotest.(check bool) "summaries, top level at widths 1 and 4" true
+    (a.Placement.summaries = b.Placement.summaries);
+  Alcotest.(check bool) "summaries, top level and pool item" true
+    (a.Placement.summaries = c.Placement.summaries)
 
 let prop_matches_nonnegative_and_conserved =
   QCheck.Test.make ~name:"matches are non-negative and sum to QR" ~count:50
@@ -149,7 +147,7 @@ let suite =
       Alcotest.test_case "multi-topic ground truth" `Quick test_multi_topic_query_ground_truth;
       Alcotest.test_case "validation" `Quick test_validation;
       Alcotest.test_case "determinism" `Quick test_determinism;
-      Alcotest.test_case "shard layout invariant under pool width" `Quick
-        test_shard_determinism_across_widths;
+      Alcotest.test_case "layout invariant under pool width and nesting" `Quick
+        test_layout_invariant_under_pool;
       QCheck_alcotest.to_alcotest prop_matches_nonnegative_and_conserved;
     ] )

@@ -1,8 +1,9 @@
 (* Domain pool, env parsing, and the parallel-execution guarantees the
-   runner and setup cache build on: chunked scheduling covers every
-   index exactly once, exceptions propagate, a pool survives reuse,
-   parallel runs are bit-identical to sequential ones, and cached trial
-   setups reproduce fresh builds exactly. *)
+   runner and setup cache build on: scheduling covers every index
+   exactly once, exceptions propagate, a pool survives reuse, parallel
+   runs are bit-identical to sequential ones, trials are the only items
+   the pool runs, and cached trial setups reproduce fresh builds
+   exactly. *)
 
 open Ri_util
 open Ri_sim
@@ -45,7 +46,7 @@ let test_map_covers_all_indices () =
       Pool.with_pool ~jobs (fun pool ->
           List.iter
             (fun n ->
-              let out = Pool.map_chunked pool ~n (fun i -> i * i) in
+              let out = Pool.map pool ~n (fun i -> i * i) in
               Alcotest.(check int)
                 (Printf.sprintf "length jobs=%d n=%d" jobs n)
                 n (Array.length out);
@@ -57,24 +58,6 @@ let test_map_covers_all_indices () =
                 out)
             [ 0; 1; 2; 7; 64 ]))
     [ 1; 2; 4 ]
-
-let test_chunk_shapes () =
-  Pool.with_pool ~jobs:3 (fun pool ->
-      List.iter
-        (fun chunk ->
-          let hits = Array.make 23 0 in
-          let m = Mutex.create () in
-          Pool.iter ~chunk pool ~n:23 (fun i ->
-              Mutex.lock m;
-              hits.(i) <- hits.(i) + 1;
-              Mutex.unlock m);
-          Array.iteri
-            (fun i h ->
-              Alcotest.(check int)
-                (Printf.sprintf "index %d chunk %d ran once" i chunk)
-                1 h)
-            hits)
-        [ 1; 2; 5; 23; 100 ])
 
 exception Boom
 
@@ -88,7 +71,7 @@ let test_exception_propagates () =
             (fun () ->
               Pool.iter pool ~n:16 (fun i -> if i = 11 then raise Boom));
           (* The pool stays usable after a failed job. *)
-          let out = Pool.map_chunked pool ~n:4 (fun i -> i + 1) in
+          let out = Pool.map pool ~n:4 (fun i -> i + 1) in
           Alcotest.(check (array int)) "reusable after failure"
             [| 1; 2; 3; 4 |] out))
     [ 1; 3 ]
@@ -97,7 +80,7 @@ let test_pool_reuse () =
   Pool.with_pool ~jobs:4 (fun pool ->
       Alcotest.(check int) "width" 4 (Pool.jobs pool);
       for round = 1 to 50 do
-        let out = Pool.map_chunked pool ~n:round (fun i -> i) in
+        let out = Pool.map pool ~n:round (fun i -> i) in
         Alcotest.(check int)
           (Printf.sprintf "round %d" round)
           round (Array.length out)
@@ -131,32 +114,6 @@ let test_nested_iter_inline () =
           Alcotest.(check int) (Printf.sprintf "slot %d inner sum" i) 10 sums.(i))
         nested);
   Alcotest.(check bool) "flag restored" false (Pool.in_job ())
-
-let test_label_stats_accounting () =
-  Pool.with_pool ~jobs:2 (fun pool ->
-      Pool.iter ~label:"phase_a" pool ~n:10 (fun _ -> ());
-      Pool.iter ~label:"phase_a" pool ~n:6 (fun _ -> ());
-      Pool.iter ~label:"phase_b" pool ~n:4 (fun _ ->
-          Pool.iter ~label:"phase_c" pool ~n:3 (fun _ -> ()));
-      let stats = Pool.label_stats pool in
-      Alcotest.(check (list string))
-        "labels sorted" [ "phase_a"; "phase_b"; "phase_c" ]
-        (List.map fst stats);
-      let get name = List.assoc name stats in
-      let a = get "phase_a" in
-      Alcotest.(check int) "a waves" 2 a.Pool.l_waves;
-      Alcotest.(check int) "a items" 16 a.Pool.l_items;
-      let b = get "phase_b" in
-      Alcotest.(check int) "b waves" 1 b.Pool.l_waves;
-      Alcotest.(check int) "b items" 4 b.Pool.l_items;
-      (* The nested phase_c waves ran inline, one per phase_b item. *)
-      let c = get "phase_c" in
-      Alcotest.(check int) "c waves" 4 c.Pool.l_waves;
-      Alcotest.(check int) "c items" 12 c.Pool.l_items;
-      Alcotest.(check int) "c all inline" 4 c.Pool.l_inline;
-      Pool.reset_stats pool;
-      Alcotest.(check int) "labels cleared" 0
-        (List.length (Pool.label_stats pool)))
 
 (* ------------------------------------------------------------------ *)
 (* Parallel runs are bit-identical to sequential ones.                 *)
@@ -251,8 +208,7 @@ let test_cache_matches_fresh () =
         (s.Setup_cache.content_hits > 0))
 
 (* ------------------------------------------------------------------ *)
-(* Intra-trial parallelism: sharded phases are bit-identical to the    *)
-(* sequential paths at every pool width.                               *)
+(* A top-level trial is the same whatever the pool width.              *)
 
 (* One Int64 over every local summary and RI row of the network
    (FNV-style over IEEE bit patterns), in deterministic node/peer
@@ -289,82 +245,93 @@ let with_global_jobs jobs f =
   Pool.set_global_jobs jobs;
   Fun.protect ~finally:(fun () -> Pool.set_global_jobs prev) f
 
-(* Receiver-sharded update rounds (RI_WAVE_SHARD_MIN=1 makes every
-   round eligible) must leave the network and the wave counters exactly
-   where the sequential drain leaves them. *)
-let test_sharded_wave_matches_sequential () =
-  with_env "RI_WAVE_SHARD_MIN" "1" (fun () ->
-      List.iter
-        (fun (name, search) ->
-          let cfg = Config.with_search small search in
-          let run jobs =
-            with_global_jobs jobs (fun () ->
-                Setup_cache.clear ();
-                let setup = Trial.build ~purpose:Trial.For_update cfg ~trial:2 in
-                let m = Trial.run_update_on cfg setup in
-                (m, net_fingerprint setup.Trial.network))
-          in
-          let m1, f1 = run 1 in
-          let m4, f4 = run 4 in
-          Alcotest.(check int)
-            (name ^ " messages") m1.Trial.update_messages m4.Trial.update_messages;
-          Alcotest.(check int)
-            (name ^ " wire bytes") m1.Trial.update_wire_bytes
-            m4.Trial.update_wire_bytes;
-          Alcotest.(check int64) (name ^ " network state") f1 f4)
-        [
-          ("cri", Config.Ri Config.cri);
-          ("eri", Config.Ri (Config.eri small));
-        ])
-
-(* Faulty waves carry a plan and must take the sequential path whatever
-   the pool width: the whole faulty trial is width-invariant. *)
-let test_faulty_trial_width_invariant () =
-  with_env "RI_WAVE_SHARD_MIN" "1" (fun () ->
-      let fault =
-        {
-          Ri_p2p.Fault.none with
-          Ri_p2p.Fault.update_loss = 0.3;
-          drift = 0.2;
-          crash = 0.05;
-        }
-      in
-      let cfg =
-        { (Config.with_search small (Config.Ri Config.cri)) with Config.fault }
-      in
+(* An update trial run from the top level, outside any pool item, must
+   leave the network and the wave counters exactly where they are at
+   width 1. *)
+let test_top_level_wave_width_invariant () =
+  List.iter
+    (fun (name, search) ->
+      let cfg = Config.with_search small search in
       let run jobs =
         with_global_jobs jobs (fun () ->
             Setup_cache.clear ();
-            Trial.run_query_faulty cfg ~trial:3)
+            let setup = Trial.build ~purpose:Trial.For_update cfg ~trial:2 in
+            let m = Trial.run_update_on cfg setup in
+            (m, net_fingerprint setup.Trial.network))
       in
-      let a = run 1 in
-      let b = run 4 in
-      Alcotest.(check int) "messages" a.Trial.f_query.Trial.messages
-        b.Trial.f_query.Trial.messages;
-      Alcotest.(check int) "found" a.Trial.f_query.Trial.found
-        b.Trial.f_query.Trial.found;
-      Alcotest.(check int) "drift messages" a.Trial.f_drift_messages
-        b.Trial.f_drift_messages;
-      Alcotest.(check int) "repair messages" a.Trial.f_repair_messages
-        b.Trial.f_repair_messages)
+      let m1, f1 = run 1 in
+      let m4, f4 = run 4 in
+      Alcotest.(check int)
+        (name ^ " messages") m1.Trial.update_messages m4.Trial.update_messages;
+      Alcotest.(check int)
+        (name ^ " wire bytes") m1.Trial.update_wire_bytes
+        m4.Trial.update_wire_bytes;
+      Alcotest.(check int64) (name ^ " network state") f1 f4)
+    [ ("cri", Config.Ri Config.cri); ("eri", Config.Ri (Config.eri small)) ]
 
-(* The parallel RI construction (RI_PAR_BUILD_MIN=1 opens it to small
-   networks) must produce the same network as the sequential build. *)
-let test_parallel_build_matches_sequential () =
-  with_env "RI_PAR_BUILD_MIN" "1" (fun () ->
-      List.iter
-        (fun (name, purpose) ->
-          let cfg = Config.with_search small (Config.Ri (Config.eri small)) in
-          let build jobs =
-            with_global_jobs jobs (fun () ->
-                Setup_cache.clear ();
-                let setup = Trial.build ~purpose cfg ~trial:1 in
-                net_fingerprint setup.Trial.network)
-          in
-          Alcotest.(check int64) (name ^ " state") (build 1) (build 4))
-        [
-          ("rooted", Trial.For_query); ("converged", Trial.For_update);
-        ])
+(* A faulty trial — drift waves, lossy deliveries, repair — is
+   width-invariant too. *)
+let test_faulty_trial_width_invariant () =
+  let fault =
+    {
+      Ri_p2p.Fault.none with
+      Ri_p2p.Fault.update_loss = 0.3;
+      drift = 0.2;
+      crash = 0.05;
+    }
+  in
+  let cfg =
+    { (Config.with_search small (Config.Ri Config.cri)) with Config.fault }
+  in
+  let run jobs =
+    with_global_jobs jobs (fun () ->
+        Setup_cache.clear ();
+        Trial.run_query_faulty cfg ~trial:3)
+  in
+  let a = run 1 in
+  let b = run 4 in
+  Alcotest.(check int) "messages" a.Trial.f_query.Trial.messages
+    b.Trial.f_query.Trial.messages;
+  Alcotest.(check int) "found" a.Trial.f_query.Trial.found
+    b.Trial.f_query.Trial.found;
+  Alcotest.(check int) "drift messages" a.Trial.f_drift_messages
+    b.Trial.f_drift_messages;
+  Alcotest.(check int) "repair messages" a.Trial.f_repair_messages
+    b.Trial.f_repair_messages
+
+(* A build run from the top level produces the same network at every
+   pool width. *)
+let test_top_level_build_width_invariant () =
+  List.iter
+    (fun (name, purpose) ->
+      let cfg = Config.with_search small (Config.Ri (Config.eri small)) in
+      let build jobs =
+        with_global_jobs jobs (fun () ->
+            Setup_cache.clear ();
+            let setup = Trial.build ~purpose cfg ~trial:1 in
+            net_fingerprint setup.Trial.network)
+      in
+      Alcotest.(check int64) (name ^ " state") (build 1) (build 4))
+    [ ("rooted", Trial.For_query); ("converged", Trial.For_update) ]
+
+(* Only the runner and the traffic driver submit to the pool, one trial
+   per item, so its item count is the number of trials run — whatever
+   the width, and with every phase inside a trial left out. *)
+let test_pool_items_are_trials () =
+  let spec = { Runner.min_trials = 3; max_trials = 3; target_rel_error = 0.1 } in
+  List.iter
+    (fun jobs ->
+      with_global_jobs jobs (fun () ->
+          Pool.reset_stats (Pool.global ());
+          Setup_cache.clear ();
+          ignore
+            (Runner.run spec (fun ~trial ->
+                 float_of_int (Trial.run_query small ~trial).Trial.messages));
+          Alcotest.(check int)
+            (Printf.sprintf "items at width %d" jobs)
+            3
+            (Pool.stats (Pool.global ())).Pool.items))
+    [ 1; 3 ]
 
 (* ------------------------------------------------------------------ *)
 (* The paired clean baseline is memoized in the setup cache: a fault    *)
@@ -469,23 +436,22 @@ let suite =
       Alcotest.test_case "env int parsing" `Quick test_env_int;
       Alcotest.test_case "env float parsing" `Quick test_env_float;
       Alcotest.test_case "map covers all indices" `Quick test_map_covers_all_indices;
-      Alcotest.test_case "chunk shapes" `Quick test_chunk_shapes;
       Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
       Alcotest.test_case "pool reuse" `Quick test_pool_reuse;
       Alcotest.test_case "shutdown rejects submissions" `Quick test_shutdown_rejects;
       Alcotest.test_case "nested iter runs inline" `Quick test_nested_iter_inline;
-      Alcotest.test_case "label stats accounting" `Quick
-        test_label_stats_accounting;
       Alcotest.test_case "parallel = sequential (bit-identical)" `Quick
         test_parallel_matches_sequential;
       Alcotest.test_case "cached setups match fresh builds" `Quick
         test_cache_matches_fresh;
-      Alcotest.test_case "sharded wave = sequential wave (bit-identical)" `Quick
-        test_sharded_wave_matches_sequential;
+      Alcotest.test_case "top-level wave invariant under pool width" `Quick
+        test_top_level_wave_width_invariant;
       Alcotest.test_case "faulty trial invariant under pool width" `Quick
         test_faulty_trial_width_invariant;
-      Alcotest.test_case "parallel build = sequential build (bit-identical)"
-        `Quick test_parallel_build_matches_sequential;
+      Alcotest.test_case "top-level build invariant under pool width" `Quick
+        test_top_level_build_width_invariant;
+      Alcotest.test_case "pool items = trials run" `Quick
+        test_pool_items_are_trials;
       Alcotest.test_case "baseline memo: reports cache- and width-invariant"
         `Slow test_baseline_memo_reports;
       Alcotest.test_case "baseline memo: one run per (search, budget, trial)"
