@@ -206,6 +206,128 @@ let prop_query_messages_bounded =
       && o.Query.counters.Message.query_returns
          <= o.Query.counters.Message.query_forwards)
 
+(* Replays one walk's events against its frame stack and checks every
+   first forward, i.e. every [Forwarded] that is not a resend (a resend
+   comes right after a [Timed_out] on the same link).  A first forward
+   must leave the node whose frame is on top, and fewer than [cap]
+   first forwards may have crossed its link before that frame opened.
+   A forward lands unless the next event times it out; landing opens a
+   frame at the receiver, except that a detect-and-recover walk bounces
+   off a visited node.  A return pops the sender's frame, unless it is
+   such a bounce.  With [~detect] a link also carries at most one first
+   forward in all. *)
+let first_forwards_ok ~detect ~origin events =
+  let cap = if detect then 1 else 2 in
+  let events = Array.of_list events in
+  let last = Array.length events - 1 in
+  let times_out i (sender, receiver) =
+    i >= 0 && i <= last
+    &&
+    match events.(i) with
+    | Query.Timed_out t -> t.sender = sender && t.receiver = receiver
+    | _ -> false
+  in
+  let firsts = Hashtbl.create 256 in
+  let visited = Hashtbl.create 256 in
+  Hashtbl.replace visited origin ();
+  let stack = ref [ (origin, 0) ] in
+  let ok = ref true in
+  Array.iteri
+    (fun i e ->
+      match e with
+      | Query.Forwarded { sender; receiver } ->
+          let link = (sender, receiver) in
+          if not (times_out (i - 1) link) then begin
+            let sent = Option.value ~default:[] (Hashtbl.find_opt firsts link) in
+            (match !stack with
+            | (node, opened) :: _ when node = sender ->
+                if List.length (List.filter (fun j -> j < opened) sent) >= cap
+                then ok := false
+            | _ -> ok := false);
+            if detect && sent <> [] then ok := false;
+            Hashtbl.replace firsts link (i :: sent)
+          end;
+          if
+            (not (times_out (i + 1) link))
+            && not (detect && Hashtbl.mem visited receiver)
+          then begin
+            Hashtbl.replace visited receiver ();
+            stack := (receiver, i + 1) :: !stack
+          end
+      | Query.Returned { sender; _ } -> (
+          match !stack with
+          | (node, _) :: rest when node = sender -> stack := rest
+          | _ -> if not detect then ok := false)
+      | _ -> ())
+    events;
+  !ok
+
+(* Loss of query forwards plus a partition, with retries and stale-row
+   fallback: timeouts, resends and give-ups all occur. *)
+let loss_partition =
+  {
+    Fault.none with
+    Fault.update_loss = 0.2;
+    link_flap = 0.1;
+    partition = 0.3;
+    stale_after = Some 1;
+    retries = 2;
+  }
+
+(* Why a detect-and-recover walk needs no per-link send count: a node
+   opens at most one frame (a revisit bounces before ranking), so no
+   directed link carries a second first forward in one walk.  Under
+   no-op a node re-entered through a cycle opens another frame, and a
+   frame offers a link only while fewer than two first forwards have
+   crossed it; nested frames of one node can each still hold the link,
+   so an exhaustive no-op walk sends up to ~20 first forwards across
+   one link of these overlays.  Exhaustive walks on converged ERI
+   overlays with cycles, with and without faults. *)
+let prop_first_forwards_per_link =
+  let open Ri_sim in
+  QCheck.Test.make
+    ~name:"first forwards per directed link stay within the policy cap"
+    ~count:24
+    QCheck.(
+      quad (int_range 200 400) (int_range 0 10_000) (pair bool bool)
+        (pair bool bool))
+    (fun (n, seed, (power_law, detect), (ri_guided, faulty)) ->
+      let base = Config.scaled { Config.base with Config.seed } ~num_nodes:n in
+      let topology =
+        if power_law then Config.Power_law_graph
+        else Config.Tree_with_cycles { extra_links = n / 5 }
+      in
+      let cycle_policy =
+        if detect then Network.Detect_recover else Network.No_op
+      in
+      let cfg =
+        {
+          (Config.with_search
+             (Config.with_topology base topology)
+             (Config.Ri (Config.eri base)))
+          with
+          Config.cycle_policy;
+        }
+      in
+      let setup = Trial.build ~purpose:Trial.For_update cfg ~trial:0 in
+      let origin = setup.Trial.origin in
+      let plan =
+        if faulty then
+          Some
+            (Fault.make loss_partition
+               ~neighbors:(Network.neighbors setup.Trial.network)
+               ~seed ~trial:0 ~nodes:n ~protect:[ origin ])
+        else None
+      in
+      let events = ref [] in
+      ignore
+        (Query.run ?plan ~rng:(Prng.create seed)
+           ~on_event:(fun e -> events := e :: !events)
+           setup.Trial.network ~origin
+           ~query:{ setup.Trial.query with Workload.stop = max_int }
+           ~forwarding:(if ri_guided then Query.Ri_guided else Query.Random_walk));
+      first_forwards_ok ~detect ~origin (List.rev !events))
+
 let suite =
   ( "query",
     [
@@ -224,4 +346,5 @@ let suite =
       Alcotest.test_case "flood ignores stop" `Quick test_flood_ignores_stop_condition;
       QCheck_alcotest.to_alcotest prop_ri_and_random_find_same_results_when_exhaustive;
       QCheck_alcotest.to_alcotest prop_query_messages_bounded;
+      QCheck_alcotest.to_alcotest prop_first_forwards_per_link;
     ] )
