@@ -106,17 +106,21 @@ module Step = struct
     projected : int list;
     topics : Ri_content.Topic.id list;
     counters : Message.counters;
-    visited : bool array;
-    (* Per directed link, how many times this query has crossed it.
-       With detect-and-recover a node remembers the query and resumes
-       its neighbor cursor, so each link is used once; with no-op a
-       revisited node keeps no query state and re-descends ("extra
+    (* One bit per node: n/8 bytes, so a walk that reaches a few hundred
+       nodes does not pay for a word per node of the whole network. *)
+    visited : Bytes.t;
+    (* Under no-op only ([None] under detect-and-recover): per directed
+       link, how many times this query has been forwarded across it.  A
+       revisited no-op node keeps no query state and re-descends ("extra
        messages are generated when we traverse a cycle more than once",
-       Section 8.2) — the second crossing carries the repeat traversal,
-       and the count cap keeps the walk finite, standing in for the TTL
-       any deployed system imposes. *)
-    sent : (int * int, int) Hashtbl.t;
-    max_sends : int;
+       Section 8.2); a frame offers a link only while it has been
+       crossed fewer than twice, which keeps the walk finite, standing
+       in for the TTL any deployed system imposes.  Detect-and-recover
+       needs no count: a node opens at most one frame (the origin is
+       marked visited before its frame exists, and a revisit bounces
+       before ranking), and only its own frame forwards across its
+       links, so every count would still be 0 when ranking read it. *)
+    sent : (int * int, int) Hashtbl.t option;
     (* Follow ranks (which candidate in forwarding order a frame tried)
        live in a side table touched only when recording, so the frame
        record — one allocation per visited node — stays at its
@@ -136,11 +140,16 @@ module Step = struct
     mutable budget_stopped : bool;
   }
 
-  let sends t u v = Option.value ~default:0 (Hashtbl.find_opt t.sent (u, v))
+  let sends sent u v = Option.value ~default:0 (Hashtbl.find_opt sent (u, v))
+
+  let visited t u =
+    Char.code (Bytes.get t.visited (u lsr 3)) land (1 lsl (u land 7)) <> 0
 
   let process_visit t u =
-    if not t.visited.(u) then begin
-      t.visited.(u) <- true;
+    if not (visited t u) then begin
+      let i = u lsr 3 in
+      Bytes.set t.visited i
+        (Char.chr (Char.code (Bytes.get t.visited i) lor (1 lsl (u land 7))));
       t.nodes_visited <- t.nodes_visited + 1;
       let local = Network.count_matching t.net u t.topics in
       if local > 0 then begin
@@ -155,7 +164,7 @@ module Step = struct
   let order_neighbors t u ~from =
     let is_candidate v =
       v <> from
-      && sends t u v < t.max_sends
+      && (match t.sent with Some sent -> sends sent u v < 2 | None -> true)
       &&
       match t.plan with
       | Some p -> not (Fault.knows_dead p ~at:u ~dead:v)
@@ -357,7 +366,11 @@ module Step = struct
                 None
               end
               else begin
-                Hashtbl.replace t.sent (top.node, v) (sends t top.node v + 1);
+                (match t.sent with
+                | Some sent ->
+                    Hashtbl.replace sent (top.node, v)
+                      (sends sent top.node v + 1)
+                | None -> ());
                 (* Rank is claimed when forwarding begins, so a forward
                    abandoned after its retries still consumes its slot. *)
                 if t.live then t.rank <- next_rank t top.node;
@@ -371,7 +384,7 @@ module Step = struct
     if t.live then
       Ri_obs.Decision.emit t.decide
         (Follow { node = src; target = dst; rank = t.rank });
-    if Network.cycle_policy t.net = Network.Detect_recover && t.visited.(dst)
+    if Network.cycle_policy t.net = Network.Detect_recover && visited t dst
     then
       (* The revisited node detects the duplicate and bounces the query
          straight back. *)
@@ -495,12 +508,11 @@ module Step = struct
         projected = Network.project_query net query.Ri_content.Workload.topics;
         topics = query.Ri_content.Workload.topics;
         counters = Message.create ();
-        visited = Array.make n false;
-        sent = Hashtbl.create 64;
-        max_sends =
+        visited = Bytes.make ((n + 7) / 8) '\000';
+        sent =
           (match Network.cycle_policy net with
-          | Network.Detect_recover -> 1
-          | Network.No_op -> 2);
+          | Network.Detect_recover -> None
+          | Network.No_op -> Some (Hashtbl.create 64));
         ranks = Hashtbl.create (if live then 32 else 1);
         reconciled = Hashtbl.create (if Option.is_some plan then 8 else 1);
         stack = [];

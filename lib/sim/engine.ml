@@ -7,66 +7,116 @@
 
 type handler = unit -> unit
 
-(* Array-backed binary min-heap over (time, seq).  [seq] is assigned at
-   push in program order, so equal-time events pop exactly in the order
-   they were scheduled — the tiebreak that makes a zero-latency schedule
-   replay the synchronous execution order. *)
+(* Struct-of-arrays binary min-heap over (time, seq).  [seq] is
+   assigned at push in program order, so equal-time events pop exactly
+   in the order they were scheduled — the tiebreak that makes a
+   zero-latency schedule replay the synchronous execution order.  Each
+   slot holds what [run] needs to dispatch the event without a closure
+   of its own: its kind (a caller's raw event, a message landing in a
+   mailbox, or a service completion), the node, the completed
+   message's queue wait and the caller's handler.  Sifts move a hole
+   instead of swapping, and nothing is allocated per event once the
+   arrays have grown to the peak event count. *)
 module Heap = struct
-  type entry = { time : int; seq : int; run : handler }
+  type kind = Raw | Arrive | Complete
 
-  type t = { mutable a : entry array; mutable len : int }
+  type t = {
+    mutable time : int array;
+    mutable seq : int array;
+    mutable kind : kind array;
+    mutable dst : int array;
+    mutable wait : int array;
+    mutable run : handler array;
+    mutable len : int;
+  }
 
-  let dummy = { time = 0; seq = 0; run = ignore }
+  let create () =
+    let cap = 256 in
+    {
+      time = Array.make cap 0;
+      seq = Array.make cap 0;
+      kind = Array.make cap Raw;
+      dst = Array.make cap 0;
+      wait = Array.make cap 0;
+      run = Array.make cap ignore;
+      len = 0;
+    }
 
-  let create () = { a = Array.make 256 dummy; len = 0 }
+  let grow t =
+    let cap = 2 * Array.length t.time in
+    let extend a fill =
+      let b = Array.make cap fill in
+      Array.blit a 0 b 0 t.len;
+      b
+    in
+    t.time <- extend t.time 0;
+    t.seq <- extend t.seq 0;
+    t.kind <- extend t.kind Raw;
+    t.dst <- extend t.dst 0;
+    t.wait <- extend t.wait 0;
+    t.run <- extend t.run ignore
 
-  let before x y = x.time < y.time || (x.time = y.time && x.seq < y.seq)
+  (* Slot [i] pops before the event keyed [(time, seq)]. *)
+  let before t i ~time ~seq =
+    t.time.(i) < time || (t.time.(i) = time && t.seq.(i) < seq)
 
-  let push t e =
-    if t.len = Array.length t.a then begin
-      let a = Array.make (2 * t.len) dummy in
-      Array.blit t.a 0 a 0 t.len;
-      t.a <- a
-    end;
+  let move t ~src ~dst:i =
+    t.time.(i) <- t.time.(src);
+    t.seq.(i) <- t.seq.(src);
+    t.kind.(i) <- t.kind.(src);
+    t.dst.(i) <- t.dst.(src);
+    t.wait.(i) <- t.wait.(src);
+    t.run.(i) <- t.run.(src)
+
+  let set t i ~time ~seq kind ~dst ~wait run =
+    t.time.(i) <- time;
+    t.seq.(i) <- seq;
+    t.kind.(i) <- kind;
+    t.dst.(i) <- dst;
+    t.wait.(i) <- wait;
+    t.run.(i) <- run
+
+  let push t ~time ~seq kind ~dst ~wait run =
+    if t.len = Array.length t.time then grow t;
+    (* Sift the hole up from the new last slot. *)
     let i = ref t.len in
     t.len <- t.len + 1;
-    t.a.(!i) <- e;
-    let continue = ref true in
-    while !continue && !i > 0 do
+    while !i > 0 && not (before t ((!i - 1) / 2) ~time ~seq) do
       let p = (!i - 1) / 2 in
-      if before t.a.(!i) t.a.(p) then begin
-        let tmp = t.a.(p) in
-        t.a.(p) <- t.a.(!i);
-        t.a.(!i) <- tmp;
-        i := p
-      end
-      else continue := false
-    done
+      move t ~src:p ~dst:!i;
+      i := p
+    done;
+    set t !i ~time ~seq kind ~dst ~wait run
 
-  let pop t =
-    if t.len = 0 then None
-    else begin
-      let top = t.a.(0) in
-      t.len <- t.len - 1;
-      t.a.(0) <- t.a.(t.len);
-      t.a.(t.len) <- dummy;
+  (* Remove slot 0 (the caller has read it): sift the last event down
+     from the root, then clear the vacated slot's handler so the heap
+     does not keep it alive. *)
+  let drop_min t =
+    t.len <- t.len - 1;
+    let n = t.len in
+    if n > 0 then begin
+      let time = t.time.(n) and seq = t.seq.(n) in
       let i = ref 0 in
       let continue = ref true in
       while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < t.len && before t.a.(l) t.a.(!smallest) then smallest := l;
-        if r < t.len && before t.a.(r) t.a.(!smallest) then smallest := r;
-        if !smallest <> !i then begin
-          let tmp = t.a.(!smallest) in
-          t.a.(!smallest) <- t.a.(!i);
-          t.a.(!i) <- tmp;
-          i := !smallest
+        let l = (2 * !i) + 1 in
+        if l >= n then continue := false
+        else begin
+          let c =
+            if l + 1 < n && before t (l + 1) ~time:t.time.(l) ~seq:t.seq.(l)
+            then l + 1
+            else l
+          in
+          if before t c ~time ~seq then begin
+            move t ~src:c ~dst:!i;
+            i := c
+          end
+          else continue := false
         end
-        else continue := false
       done;
-      Some top
-    end
+      move t ~src:n ~dst:!i
+    end;
+    t.run.(n) <- ignore
 end
 
 (* Per-message queued entry: the handler plus the logical time it
@@ -177,16 +227,19 @@ let node_stat t v =
     s_peak = t.n_peak.(v);
   }
 
-let schedule t ~at run =
-  if at < t.now then invalid_arg "Engine.schedule: event in the past";
+let push t ~at kind ~dst ~wait run =
   let seq = t.seq in
   t.seq <- seq + 1;
-  Heap.push t.heap { Heap.time = at; seq; run }
+  Heap.push t.heap ~time:at ~seq kind ~dst ~wait run
+
+let schedule t ~at run =
+  if at < t.now then invalid_arg "Engine.schedule: event in the past";
+  push t ~at Heap.Raw ~dst:0 ~wait:0 run
 
 (* Service completion at [dst]: attribute the finished message's wait
    and busy time to the node, process it, then start on the next one
    waiting, if any (its wait = now - enqueue time). *)
-let rec complete t dst ~wait run =
+let complete t dst ~wait run =
   t.processed <- t.processed + 1;
   t.n_completions.(dst) <- t.n_completions.(dst) + 1;
   t.n_busy_ns.(dst) <- t.n_busy_ns.(dst) + t.service_ns;
@@ -197,10 +250,9 @@ let rec complete t dst ~wait run =
   else begin
     let next = Queue.pop t.inbox.(dst) in
     t.backlog <- t.backlog - 1;
-    let wait = t.now - next.enq in
-    schedule t
+    push t
       ~at:(t.now + t.service_ns)
-      (fun () -> complete t dst ~wait next.run)
+      Heap.Complete ~dst ~wait:(t.now - next.enq) next.run
   end
 
 (* A message lands in [dst]'s mailbox: start service now if the node is
@@ -218,27 +270,35 @@ let arrive t dst run =
   end
   else begin
     t.busy.(dst) <- true;
-    schedule t ~at:(t.now + t.service_ns) (fun () ->
-        complete t dst ~wait:0 run)
+    push t ~at:(t.now + t.service_ns) Heap.Complete ~dst ~wait:0 run
   end
 
 let inject t ~at ~dst run =
   if dst < 0 || dst >= Array.length t.inbox then
     invalid_arg "Engine.inject: node out of range";
-  schedule t ~at (fun () -> arrive t dst run)
+  if at < t.now then invalid_arg "Engine.inject: event in the past";
+  push t ~at Heap.Arrive ~dst ~wait:0 run
 
 let send t ~dst run =
   if dst < 0 || dst >= Array.length t.inbox then
     invalid_arg "Engine.send: node out of range";
   if t.link_ns = 0 then arrive t dst run
-  else schedule t ~at:(t.now + t.link_ns) (fun () -> arrive t dst run)
+  else push t ~at:(t.now + t.link_ns) Heap.Arrive ~dst ~wait:0 run
 
+(* Pop and dispatch by kind until the heap is empty: a landing message
+   joins its mailbox, a completion runs its handler, a raw event runs
+   directly. *)
 let run t =
-  let continue = ref true in
-  while !continue do
-    match Heap.pop t.heap with
-    | None -> continue := false
-    | Some e ->
-        t.now <- e.Heap.time;
-        e.Heap.run ()
+  let h = t.heap in
+  while h.Heap.len > 0 do
+    let kind = h.Heap.kind.(0)
+    and dst = h.Heap.dst.(0)
+    and wait = h.Heap.wait.(0)
+    and handler = h.Heap.run.(0) in
+    t.now <- h.Heap.time.(0);
+    Heap.drop_min h;
+    match kind with
+    | Heap.Raw -> handler ()
+    | Heap.Arrive -> arrive t dst handler
+    | Heap.Complete -> complete t dst ~wait handler
   done

@@ -9,6 +9,15 @@
     handler — which typically advances a query state machine one hop
     and sends the next message.
 
+    {b Events.}  The queue is a struct-of-arrays heap: each slot holds
+    an event kind (a raw {!schedule} event, a message landing in a
+    mailbox, or a service completion), the node, the completed
+    message's queue wait and the caller's handler, and {!run}
+    dispatches on the kind.  So the engine allocates nothing per event
+    of its own — no heap record, option or closure — once the heap has
+    grown to the peak number of pending events; a message that finds
+    its node busy still takes a mailbox cell.
+
     {b Determinism.}  Heap order is [(time, seq)]: [seq] is assigned in
     program order at scheduling time, so equal-time events fire exactly
     in the order they were scheduled.  One engine drives one trial on
@@ -66,12 +75,15 @@ val schedule : t -> at:int -> handler -> unit
 val inject : t -> at:int -> dst:int -> handler -> unit
 (** Deliver a message into [dst]'s mailbox at absolute time [at]
     (queueing + service apply; no link latency — the message originates
-    at [dst], like a client query handed to its entry node). *)
+    at [dst], like a client query handed to its entry node).
+    @raise Invalid_argument when [dst] is out of range or [at] is in
+    the past. *)
 
 val send : t -> dst:int -> handler -> unit
 (** Send a message from the currently executing event to [dst]: it
     arrives after [link_ns] and then queues for service.  Call only
-    from inside a running handler (uses the current logical time). *)
+    from inside a running handler (uses the current logical time).
+    @raise Invalid_argument when [dst] is out of range. *)
 
 val run : t -> unit
 (** Drain the event queue to empty, advancing the clock. *)
