@@ -7,13 +7,7 @@ open Ri_content
    boundary type — construction, exports and tests speak summaries; the
    aggregation and ranking hot paths run straight over the flat array.
    The store iterates rows in the same hash-table order as the boxed
-   representation it replaced, keeping float summation bit-identical.
-
-   A store may instead be quantized (bit-packed log-bucketed cells, see
-   {!Rowstore.quant_config}); those stores have no raw float view, so
-   every hot path below keeps its exact branch verbatim — that is the
-   bit-identity format — and adds a branch that decodes whole rows into
-   the per-domain scratch buffer first. *)
+   representation it replaced, keeping float summation bit-identical. *)
 type t = {
   width : int;
   mutable local : Summary.t;
@@ -24,20 +18,13 @@ let check_width t s name =
   if Summary.topics s <> t.width then
     invalid_arg (Printf.sprintf "Cri.%s: summary width mismatch" name)
 
-let create ?rows ?quant ~width ~local () =
+let create ?rows ~width ~local () =
   if width <= 0 then invalid_arg "Cri.create: width must be positive";
-  let t =
-    { width; local; store = Rowstore.create ?rows ?quant ~stride:(1 + width) () }
-  in
+  let t = { width; local; store = Rowstore.create ?rows ~stride:(1 + width) () } in
   check_width t local "create";
   t
 
 let store t = t.store
-
-let with_store t store =
-  if Rowstore.stride store <> 1 + t.width then
-    invalid_arg "Cri.with_store: stride mismatch";
-  { t with store }
 
 let width t = t.width
 
@@ -57,31 +44,16 @@ let set_local t s =
 let set_row t ~peer (s : Summary.t) =
   check_width t s "set_row";
   let off = Rowstore.ensure t.store peer in
-  if Rowstore.quantized t.store then begin
-    let buf = Rowstore.scratch t.store in
-    buf.(0) <- s.total;
-    Array.blit s.by_topic 0 buf 1 t.width;
-    Rowstore.encode_row t.store off buf
-  end
-  else begin
-    let d = Rowstore.data t.store in
-    d.(off) <- s.total;
-    Array.blit s.by_topic 0 d (off + 1) t.width
-  end
+  let d = Rowstore.data t.store in
+  d.(off) <- s.total;
+  Array.blit s.by_topic 0 d (off + 1) t.width
 
 let row t ~peer =
   match Rowstore.find t.store peer with
   | None -> None
   | Some off ->
-      if Rowstore.quantized t.store then begin
-        let buf = Rowstore.scratch t.store in
-        Rowstore.decode_row t.store off buf;
-        Some { Summary.total = buf.(0); by_topic = Array.sub buf 1 t.width }
-      end
-      else
-        let d = Rowstore.data t.store in
-        Some
-          { Summary.total = d.(off); by_topic = Array.sub d (off + 1) t.width }
+      let d = Rowstore.data t.store in
+      Some { Summary.total = d.(off); by_topic = Array.sub d (off + 1) t.width }
 
 let remove_row t ~peer = Rowstore.remove t.store peer
 
@@ -102,19 +74,10 @@ let storage_words t = 1 + t.width + Rowstore.capacity_words t.store
 let aggregate_with_local t =
   let by_topic = Array.copy t.local.Summary.by_topic in
   let total = [| t.local.Summary.total |] in
-  (if Rowstore.quantized t.store then begin
-     let buf = Rowstore.scratch t.store in
-     Rowstore.iter t.store (fun _ off ->
-         Rowstore.decode_row t.store off buf;
-         total.(0) <- total.(0) +. buf.(0);
-         Vecf.add_slice ~dst:by_topic ~dst_pos:0 buf ~src_pos:1 ~len:t.width)
-   end
-   else
-     let d = Rowstore.data t.store in
-     Rowstore.iter t.store (fun _ off ->
-         total.(0) <- total.(0) +. d.(off);
-         Vecf.add_slice ~dst:by_topic ~dst_pos:0 d ~src_pos:(off + 1)
-           ~len:t.width));
+  let d = Rowstore.data t.store in
+  Rowstore.iter t.store (fun _ off ->
+      total.(0) <- total.(0) +. d.(off);
+      Vecf.add_slice ~dst:by_topic ~dst_pos:0 d ~src_pos:(off + 1) ~len:t.width);
   { Summary.total = total.(0); by_topic }
 
 (* Aggregate minus one flat row, clamped: valid because the row is a
@@ -123,20 +86,9 @@ let aggregate_with_local t =
    this runs per peer per export. *)
 let minus_row t (all : Summary.t) off =
   let by_topic = Array.copy all.Summary.by_topic in
-  let total =
-    if Rowstore.quantized t.store then begin
-      let buf = Rowstore.scratch t.store in
-      Rowstore.decode_row t.store off buf;
-      Vecf.sub_clamp_slice ~dst:by_topic ~dst_pos:0 buf ~src_pos:1 ~len:t.width;
-      all.Summary.total -. buf.(0)
-    end
-    else begin
-      let d = Rowstore.data t.store in
-      Vecf.sub_clamp_slice ~dst:by_topic ~dst_pos:0 d ~src_pos:(off + 1)
-        ~len:t.width;
-      all.Summary.total -. d.(off)
-    end
-  in
+  let d = Rowstore.data t.store in
+  Vecf.sub_clamp_slice ~dst:by_topic ~dst_pos:0 d ~src_pos:(off + 1) ~len:t.width;
+  let total = all.Summary.total -. d.(off) in
   { Summary.total = (if total > 0. then total else 0.); by_topic }
 
 let export t ~exclude =
@@ -162,23 +114,10 @@ let goodness t ~peer ~query =
   match Rowstore.find t.store peer with
   | None -> 0.
   | Some off ->
-      if Rowstore.quantized t.store then begin
-        let buf = Rowstore.scratch t.store in
-        Rowstore.decode_row t.store off buf;
-        Estimator.goodness_flat buf ~pos:0 ~width:t.width query
-      end
-      else
-        Estimator.goodness_flat (Rowstore.data t.store) ~pos:off ~width:t.width
-          query
+      Estimator.goodness_flat (Rowstore.data t.store) ~pos:off ~width:t.width
+        query
 
 let iter_goodness t ~query f =
-  if Rowstore.quantized t.store then begin
-    let buf = Rowstore.scratch t.store in
-    Rowstore.iter t.store (fun p off ->
-        Rowstore.decode_row t.store off buf;
-        f p (Estimator.goodness_flat buf ~pos:0 ~width:t.width query))
-  end
-  else
-    let d = Rowstore.data t.store in
-    Rowstore.iter t.store (fun p off ->
-        f p (Estimator.goodness_flat d ~pos:off ~width:t.width query))
+  let d = Rowstore.data t.store in
+  Rowstore.iter t.store (fun p off ->
+      f p (Estimator.goodness_flat d ~pos:off ~width:t.width query))

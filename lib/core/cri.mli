@@ -14,24 +14,16 @@ type t
 
 val create :
   ?rows:int ->
-  ?quant:Rowstore.quant_config ->
   width:int ->
   local:Ri_content.Summary.t ->
   unit ->
   t
 (** [width] is the topic-vector width (after any index compression);
-    [rows] pre-sizes the row store and [quant] selects the bit-packed
-    quantized cell format (see {!Rowstore.create}).
+    [rows] pre-sizes the row store (see {!Rowstore.create}).
     @raise Invalid_argument if the local summary's width differs. *)
 
 val store : t -> Rowstore.t
-(** The underlying row store — snapshot persistence reads it raw. *)
-
-val with_store : t -> Rowstore.t -> t
-(** The same index over a replacement row store (sharing the local
-    summary) — how snapshot loading rebuilds an index around a store
-    reconstructed with {!Rowstore.of_loaded}.
-    @raise Invalid_argument if the store's stride does not match. *)
+(** The underlying row store. *)
 
 val copy : t -> t
 (** An independent clone sharing the (immutable) local summary and

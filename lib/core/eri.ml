@@ -2,10 +2,8 @@ open Ri_util
 open Ri_content
 
 (* Rows in a flat structure-of-arrays store, [total; by_topic...] per
-   peer — see {!Cri} for the layout, the bit-identity contract, and the
-   quantized-store branching convention (exact paths verbatim, packed
-   rows decoded into the per-domain scratch).  [Summary.t] stays the
-   boundary type for exports and tests. *)
+   peer — see {!Cri} for the layout and the bit-identity contract.
+   [Summary.t] stays the boundary type for exports and tests. *)
 type t = {
   fanout : float;
   width : int;
@@ -17,7 +15,7 @@ let check_width t s name =
   if Summary.topics s <> t.width then
     invalid_arg (Printf.sprintf "Eri.%s: summary width mismatch" name)
 
-let create ?rows ?quant ~fanout ~width ~local () =
+let create ?rows ~fanout ~width ~local () =
   if not (fanout > 1.) then invalid_arg "Eri.create: fanout must be > 1";
   if width <= 0 then invalid_arg "Eri.create: width must be positive";
   let t =
@@ -25,18 +23,13 @@ let create ?rows ?quant ~fanout ~width ~local () =
       fanout;
       width;
       local;
-      store = Rowstore.create ?rows ?quant ~stride:(1 + width) ();
+      store = Rowstore.create ?rows ~stride:(1 + width) ();
     }
   in
   check_width t local "create";
   t
 
 let store t = t.store
-
-let with_store t store =
-  if Rowstore.stride store <> 1 + t.width then
-    invalid_arg "Eri.with_store: stride mismatch";
-  { t with store }
 
 let fanout t = t.fanout
 
@@ -53,31 +46,16 @@ let set_local t s =
 let set_row t ~peer (s : Summary.t) =
   check_width t s "set_row";
   let off = Rowstore.ensure t.store peer in
-  if Rowstore.quantized t.store then begin
-    let buf = Rowstore.scratch t.store in
-    buf.(0) <- s.total;
-    Array.blit s.by_topic 0 buf 1 t.width;
-    Rowstore.encode_row t.store off buf
-  end
-  else begin
-    let d = Rowstore.data t.store in
-    d.(off) <- s.total;
-    Array.blit s.by_topic 0 d (off + 1) t.width
-  end
+  let d = Rowstore.data t.store in
+  d.(off) <- s.total;
+  Array.blit s.by_topic 0 d (off + 1) t.width
 
 let row t ~peer =
   match Rowstore.find t.store peer with
   | None -> None
   | Some off ->
-      if Rowstore.quantized t.store then begin
-        let buf = Rowstore.scratch t.store in
-        Rowstore.decode_row t.store off buf;
-        Some { Summary.total = buf.(0); by_topic = Array.sub buf 1 t.width }
-      end
-      else
-        let d = Rowstore.data t.store in
-        Some
-          { Summary.total = d.(off); by_topic = Array.sub d (off + 1) t.width }
+      let d = Rowstore.data t.store in
+      Some { Summary.total = d.(off); by_topic = Array.sub d (off + 1) t.width }
 
 let remove_row t ~peer = Rowstore.remove t.store peer
 
@@ -97,19 +75,10 @@ let storage_words t = 1 + t.width + Rowstore.capacity_words t.store
 let aggregate_rows t =
   let by_topic = Array.make t.width 0. in
   let total = [| 0. |] in
-  (if Rowstore.quantized t.store then begin
-     let buf = Rowstore.scratch t.store in
-     Rowstore.iter t.store (fun _ off ->
-         Rowstore.decode_row t.store off buf;
-         total.(0) <- total.(0) +. buf.(0);
-         Vecf.add_slice ~dst:by_topic ~dst_pos:0 buf ~src_pos:1 ~len:t.width)
-   end
-   else
-     let d = Rowstore.data t.store in
-     Rowstore.iter t.store (fun _ off ->
-         total.(0) <- total.(0) +. d.(off);
-         Vecf.add_slice ~dst:by_topic ~dst_pos:0 d ~src_pos:(off + 1)
-           ~len:t.width));
+  let d = Rowstore.data t.store in
+  Rowstore.iter t.store (fun _ off ->
+      total.(0) <- total.(0) +. d.(off);
+      Vecf.add_slice ~dst:by_topic ~dst_pos:0 d ~src_pos:(off + 1) ~len:t.width);
   { Summary.total = total.(0); by_topic }
 
 (* [finish t rest] is local + rest/F.  Fused into one pass: exports run
@@ -131,25 +100,12 @@ let finish_without t (agg : Summary.t) off =
   let local = t.local in
   let lbt = local.Summary.by_topic and abt = agg.Summary.by_topic in
   let by_topic = Array.make t.width 0. in
-  let dt =
-    if Rowstore.quantized t.store then begin
-      let buf = Rowstore.scratch t.store in
-      Rowstore.decode_row t.store off buf;
-      for i = 0 to t.width - 1 do
-        let diff = abt.(i) -. buf.(i + 1) in
-        by_topic.(i) <- lbt.(i) +. ((if diff > 0. then diff else 0.) *. k)
-      done;
-      agg.Summary.total -. buf.(0)
-    end
-    else begin
-      let d = Rowstore.data t.store in
-      for i = 0 to t.width - 1 do
-        let diff = abt.(i) -. d.(off + 1 + i) in
-        by_topic.(i) <- lbt.(i) +. ((if diff > 0. then diff else 0.) *. k)
-      done;
-      agg.Summary.total -. d.(off)
-    end
-  in
+  let d = Rowstore.data t.store in
+  for i = 0 to t.width - 1 do
+    let diff = abt.(i) -. d.(off + 1 + i) in
+    by_topic.(i) <- lbt.(i) +. ((if diff > 0. then diff else 0.) *. k)
+  done;
+  let dt = agg.Summary.total -. d.(off) in
   {
     Summary.total =
       local.Summary.total +. ((if dt > 0. then dt else 0.) *. k);
@@ -178,23 +134,10 @@ let goodness t ~peer ~query =
   match Rowstore.find t.store peer with
   | None -> 0.
   | Some off ->
-      if Rowstore.quantized t.store then begin
-        let buf = Rowstore.scratch t.store in
-        Rowstore.decode_row t.store off buf;
-        Estimator.goodness_flat buf ~pos:0 ~width:t.width query
-      end
-      else
-        Estimator.goodness_flat (Rowstore.data t.store) ~pos:off ~width:t.width
-          query
+      Estimator.goodness_flat (Rowstore.data t.store) ~pos:off ~width:t.width
+        query
 
 let iter_goodness t ~query f =
-  if Rowstore.quantized t.store then begin
-    let buf = Rowstore.scratch t.store in
-    Rowstore.iter t.store (fun p off ->
-        Rowstore.decode_row t.store off buf;
-        f p (Estimator.goodness_flat buf ~pos:0 ~width:t.width query))
-  end
-  else
-    let d = Rowstore.data t.store in
-    Rowstore.iter t.store (fun p off ->
-        f p (Estimator.goodness_flat d ~pos:off ~width:t.width query))
+  let d = Rowstore.data t.store in
+  Rowstore.iter t.store (fun p off ->
+      f p (Estimator.goodness_flat d ~pos:off ~width:t.width query))

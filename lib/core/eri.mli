@@ -16,7 +16,6 @@ type t
 
 val create :
   ?rows:int ->
-  ?quant:Rowstore.quant_config ->
   fanout:float ->
   width:int ->
   local:Ri_content.Summary.t ->
@@ -24,17 +23,12 @@ val create :
   t
 (** [fanout] is the assumed regular-tree fanout [F] (the paper's "decay
     for ERIs", 4 in the base configuration); [rows] pre-sizes the row
-    store and [quant] selects the bit-packed quantized cell format (see
-    {!Rowstore.create}).
+    store (see {!Rowstore.create}).
     @raise Invalid_argument unless [fanout > 1], [width > 0] and the
     local summary width matches. *)
 
 val store : t -> Rowstore.t
-(** The underlying row store — snapshot persistence reads it raw. *)
-
-val with_store : t -> Rowstore.t -> t
-(** The same index over a replacement row store; see {!Cri.with_store}.
-    @raise Invalid_argument if the store's stride does not match. *)
+(** The underlying row store. *)
 
 val copy : t -> t
 (** Independent clone; see {!Cri.copy}. *)

@@ -19,7 +19,7 @@ let check_width t s name =
   if Summary.topics s <> t.width then
     invalid_arg (Printf.sprintf "Hri.%s: summary width mismatch" name)
 
-let make_t ?rows ?quant ~tail ~horizon ~cost ~width ~local () =
+let make_t ?rows ~tail ~horizon ~cost ~width ~local () =
   if horizon <= 0 then invalid_arg "Hri.create: horizon must be positive";
   if width <= 0 then invalid_arg "Hri.create: width must be positive";
   let slots = horizon + if tail then 1 else 0 in
@@ -30,17 +30,17 @@ let make_t ?rows ?quant ~tail ~horizon ~cost ~width ~local () =
       cost;
       width;
       local;
-      store = Rowstore.create ?rows ?quant ~stride:(slots * (1 + width)) ();
+      store = Rowstore.create ?rows ~stride:(slots * (1 + width)) ();
     }
   in
   check_width t local "create";
   t
 
-let create ?rows ?quant ~horizon ~cost ~width ~local () =
-  make_t ?rows ?quant ~tail:false ~horizon ~cost ~width ~local ()
+let create ?rows ~horizon ~cost ~width ~local () =
+  make_t ?rows ~tail:false ~horizon ~cost ~width ~local ()
 
-let create_hybrid ?rows ?quant ~horizon ~cost ~width ~local () =
-  make_t ?rows ?quant ~tail:true ~horizon ~cost ~width ~local ()
+let create_hybrid ?rows ~horizon ~cost ~width ~local () =
+  make_t ?rows ~tail:true ~horizon ~cost ~width ~local ()
 
 let store t = t.store
 
@@ -65,61 +65,30 @@ let set_local t s =
 (* Summary slot width inside a row. *)
 let sw t = 1 + t.width
 
-let with_store t store =
-  if Rowstore.stride store <> row_length t * sw t then
-    invalid_arg "Hri.with_store: stride mismatch";
-  { t with store }
-
 let set_row t ~peer r =
   if Array.length r <> row_length t then
     invalid_arg "Hri.set_row: row length must equal the horizon";
   Array.iter (fun s -> check_width t s "set_row") r;
   let off = Rowstore.ensure t.store peer in
   let sw = sw t in
-  if Rowstore.quantized t.store then begin
-    let buf = Rowstore.scratch t.store in
-    Array.iteri
-      (fun h (s : Summary.t) ->
-        let pos = h * sw in
-        buf.(pos) <- s.total;
-        Array.blit s.by_topic 0 buf (pos + 1) t.width)
-      r;
-    Rowstore.encode_row t.store off buf
-  end
-  else
-    let d = Rowstore.data t.store in
-    Array.iteri
-      (fun h (s : Summary.t) ->
-        let pos = off + (h * sw) in
-        d.(pos) <- s.total;
-        Array.blit s.by_topic 0 d (pos + 1) t.width)
-      r
+  let d = Rowstore.data t.store in
+  Array.iteri
+    (fun h (s : Summary.t) ->
+      let pos = off + (h * sw) in
+      d.(pos) <- s.total;
+      Array.blit s.by_topic 0 d (pos + 1) t.width)
+    r
 
 let row t ~peer =
   match Rowstore.find t.store peer with
   | None -> None
   | Some off ->
       let sw = sw t in
-      if Rowstore.quantized t.store then begin
-        let buf = Rowstore.scratch t.store in
-        Rowstore.decode_row t.store off buf;
-        Some
-          (Array.init (row_length t) (fun h ->
-               let pos = h * sw in
-               {
-                 Summary.total = buf.(pos);
-                 by_topic = Array.sub buf (pos + 1) t.width;
-               }))
-      end
-      else
-        let d = Rowstore.data t.store in
-        Some
-          (Array.init (row_length t) (fun h ->
-               let pos = off + (h * sw) in
-               {
-                 Summary.total = d.(pos);
-                 by_topic = Array.sub d (pos + 1) t.width;
-               }))
+      let d = Rowstore.data t.store in
+      Some
+        (Array.init (row_length t) (fun h ->
+             let pos = off + (h * sw) in
+             { Summary.total = d.(pos); by_topic = Array.sub d (pos + 1) t.width }))
 
 let remove_row t ~peer = Rowstore.remove t.store peer
 
@@ -148,26 +117,14 @@ let aggregate_rows t =
   let sw = sw t in
   let totals = Array.make len 0. in
   let by_topic = Array.init len (fun _ -> Array.make t.width 0.) in
-  (if Rowstore.quantized t.store then begin
-     let buf = Rowstore.scratch t.store in
-     Rowstore.iter t.store (fun _ off ->
-         Rowstore.decode_row t.store off buf;
-         for h = 0 to len - 1 do
-           let pos = h * sw in
-           totals.(h) <- totals.(h) +. buf.(pos);
-           Vecf.add_slice ~dst:by_topic.(h) ~dst_pos:0 buf ~src_pos:(pos + 1)
-             ~len:t.width
-         done)
-   end
-   else
-     let d = Rowstore.data t.store in
-     Rowstore.iter t.store (fun _ off ->
-         for h = 0 to len - 1 do
-           let pos = off + (h * sw) in
-           totals.(h) <- totals.(h) +. d.(pos);
-           Vecf.add_slice ~dst:by_topic.(h) ~dst_pos:0 d ~src_pos:(pos + 1)
-             ~len:t.width
-         done));
+  let d = Rowstore.data t.store in
+  Rowstore.iter t.store (fun _ off ->
+      for h = 0 to len - 1 do
+        let pos = off + (h * sw) in
+        totals.(h) <- totals.(h) +. d.(pos);
+        Vecf.add_slice ~dst:by_topic.(h) ~dst_pos:0 d ~src_pos:(pos + 1)
+          ~len:t.width
+      done);
   Array.init (len + 1) (fun h ->
       if h = 0 then t.local
       else { Summary.total = totals.(h - 1); by_topic = by_topic.(h - 1) })
@@ -190,18 +147,9 @@ let shifted t column =
    without [Summary.make]'s copy/validate, per peer per export. *)
 let export_without t agg off =
   let sw = sw t in
-  let quantized = Rowstore.quantized t.store in
-  let d =
-    if quantized then begin
-      let buf = Rowstore.scratch t.store in
-      Rowstore.decode_row t.store off buf;
-      buf
-    end
-    else Rowstore.data t.store
-  in
-  let base = if quantized then 0 else off in
+  let d = Rowstore.data t.store in
   shifted t (fun h ->
-      let s = agg.(h + 1) and pos = base + (h * sw) in
+      let s = agg.(h + 1) and pos = off + (h * sw) in
       let by_topic = Array.copy s.Summary.by_topic in
       Vecf.sub_clamp_slice ~dst:by_topic ~dst_pos:0 d ~src_pos:(pos + 1)
         ~len:t.width;
@@ -243,41 +191,20 @@ let goodness_at t d ~off query =
 let goodness t ~peer ~query =
   match Rowstore.find t.store peer with
   | None -> 0.
-  | Some off ->
-      if Rowstore.quantized t.store then begin
-        let buf = Rowstore.scratch t.store in
-        Rowstore.decode_row t.store off buf;
-        goodness_at t buf ~off:0 query
-      end
-      else goodness_at t (Rowstore.data t.store) ~off query
+  | Some off -> goodness_at t (Rowstore.data t.store) ~off query
 
 let iter_goodness t ~query f =
-  if Rowstore.quantized t.store then begin
-    let buf = Rowstore.scratch t.store in
-    Rowstore.iter t.store (fun p off ->
-        Rowstore.decode_row t.store off buf;
-        f p (goodness_at t buf ~off:0 query))
-  end
-  else
-    let d = Rowstore.data t.store in
-    Rowstore.iter t.store (fun p off -> f p (goodness_at t d ~off query))
+  let d = Rowstore.data t.store in
+  Rowstore.iter t.store (fun p off -> f p (goodness_at t d ~off query))
 
 let total_beyond_hop t ~peer ~hop =
   match Rowstore.find t.store peer with
   | None -> 0.
   | Some off ->
       let sw = sw t in
+      let d = Rowstore.data t.store in
       let acc = ref 0. in
-      (if Rowstore.quantized t.store then begin
-         let buf = Rowstore.scratch t.store in
-         Rowstore.decode_row t.store off buf;
-         for h = hop to row_length t - 1 do
-           acc := !acc +. buf.(h * sw)
-         done
-       end
-       else
-         let d = Rowstore.data t.store in
-         for h = hop to row_length t - 1 do
-           acc := !acc +. d.(off + (h * sw))
-         done);
+      for h = hop to row_length t - 1 do
+        acc := !acc +. d.(off + (h * sw))
+      done;
       !acc

@@ -19,21 +19,18 @@ type t
 
 val create :
   ?rows:int ->
-  ?quant:Rowstore.quant_config ->
   horizon:int ->
   cost:Cost_model.t ->
   width:int ->
   local:Ri_content.Summary.t ->
   unit ->
   t
-(** [rows] pre-sizes the row store and [quant] selects the bit-packed
-    quantized cell format (see {!Rowstore.create}).
+(** [rows] pre-sizes the row store (see {!Rowstore.create}).
     @raise Invalid_argument if [horizon <= 0], [width <= 0] or the local
     summary's width differs. *)
 
 val create_hybrid :
   ?rows:int ->
-  ?quant:Rowstore.quant_config ->
   horizon:int ->
   cost:Cost_model.t ->
   width:int ->
@@ -51,11 +48,7 @@ val copy : t -> t
 (** Independent clone; see {!Cri.copy}. *)
 
 val store : t -> Rowstore.t
-(** The underlying row store — snapshot persistence reads it raw. *)
-
-val with_store : t -> Rowstore.t -> t
-(** The same index over a replacement row store; see {!Cri.with_store}.
-    @raise Invalid_argument if the store's stride does not match. *)
+(** The underlying row store. *)
 
 val has_tail : t -> bool
 

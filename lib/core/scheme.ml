@@ -24,29 +24,23 @@ type payload = Vector of Summary.t | Hop_vector of Summary.t array
 
 type t = C of Cri.t | H of Hri.t | E of Eri.t
 
-let create ?rows ?quant k ~width ~local =
+let create ?rows k ~width ~local =
   match k with
-  | Cri_kind -> C (Cri.create ?rows ?quant ~width ~local ())
+  | Cri_kind -> C (Cri.create ?rows ~width ~local ())
   | Hri_kind { horizon; fanout } ->
       H
-        (Hri.create ?rows ?quant ~horizon ~cost:(Cost_model.make ~fanout)
-           ~width ~local ())
+        (Hri.create ?rows ~horizon ~cost:(Cost_model.make ~fanout) ~width
+           ~local ())
   | Hybrid_kind { horizon; fanout } ->
       H
-        (Hri.create_hybrid ?rows ?quant ~horizon ~cost:(Cost_model.make ~fanout)
+        (Hri.create_hybrid ?rows ~horizon ~cost:(Cost_model.make ~fanout)
            ~width ~local ())
-  | Eri_kind { fanout } -> E (Eri.create ?rows ?quant ~fanout ~width ~local ())
+  | Eri_kind { fanout } -> E (Eri.create ?rows ~fanout ~width ~local ())
 
 let rowstore = function
   | C c -> Cri.store c
   | H h -> Hri.store h
   | E e -> Eri.store e
-
-let with_rowstore t store =
-  match t with
-  | C c -> C (Cri.with_store c store)
-  | H h -> H (Hri.with_store h store)
-  | E e -> E (Eri.with_store e store)
 
 let kind = function
   | C _ -> Cri_kind
@@ -321,8 +315,7 @@ let storage_entries k ~width ~neighbors =
   (* One local-summary row plus one row per neighbor. *)
   (neighbors + 1) * slots * per_summary
 
-(* The local summary stays a float row either way; only the peer-row
-   store may be bit-packed, so its own byte accounting is authoritative. *)
+(* The local summary row plus the peer-row store's allocated cells. *)
 let storage_bytes t =
   (8 * (1 + width t)) + Rowstore.capacity_bytes (rowstore t)
 

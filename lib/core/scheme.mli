@@ -29,27 +29,12 @@ type t
 (** One node's routing index. *)
 
 val create :
-  ?rows:int ->
-  ?quant:Rowstore.quant_config ->
-  kind ->
-  width:int ->
-  local:Ri_content.Summary.t ->
-  t
+  ?rows:int -> kind -> width:int -> local:Ri_content.Summary.t -> t
 (** [rows] pre-sizes the per-peer row store — pass the node's overlay
-    degree to avoid regrowth copies and slack slots.  [quant] stores
-    peer rows in the bit-packed log-quantized cell format (the local
-    summary stays exact); see {!Rowstore.quant_config} for the accuracy
-    bound. *)
+    degree to avoid regrowth copies and slack slots. *)
 
 val rowstore : t -> Rowstore.t
-(** The underlying flat row store — read raw by snapshot persistence. *)
-
-val with_rowstore : t -> Rowstore.t -> t
-(** The same index over a replacement row store (sharing the local
-    summary) — how snapshot loading wraps a store rebuilt with
-    {!Rowstore.of_loaded}.
-    @raise Invalid_argument if the store's stride does not match the
-    scheme's row shape. *)
+(** The underlying flat row store. *)
 
 val kind : t -> kind
 
@@ -162,9 +147,8 @@ val storage_entries : kind -> width:int -> neighbors:int -> int
 
 val storage_bytes : t -> int
 (** Bytes this node's index has actually allocated for summaries: the
-    local row (always 8 bytes per float slot) plus the flat row store's
-    capacity in its own cell format — packed-code bytes when quantized.
-    Unlike {!storage_entries} (the paper's analytical formula) this
+    local row plus the flat row store's capacity, 8 bytes per float
+    slot.  Unlike {!storage_entries} (the paper's analytical formula) this
     reflects the live data structure, including growth slack — the
     scale experiment's RI-bytes-per-node metric. *)
 

@@ -4,10 +4,8 @@
     size it builds the rooted (query) and converged (update) networks
     once, then times repeated queries and update waves on them,
     reporting throughput, allocation, delta-encoded wire bytes, the flat
-    RI store's resident footprint, peak heap and process RSS — plus, on
-    request, snapshot save/load times and the quantized-rowstore
-    accuracy/size tradeoff.  The sweep runs on the calling domain; the
-    domain pool is not used. *)
+    RI store's resident footprint, peak heap and process RSS.  The sweep
+    runs on the calling domain; the domain pool is not used. *)
 
 val id : string
 
@@ -17,30 +15,6 @@ val paper_claim : string
 
 val default_sizes : int list
 (** [2000; 10000; 50000; 100000]. *)
-
-val big_sizes : int list
-(** [100_000; 250_000; 500_000; 1_000_000] — the [--big] plane; the
-    100k overlap point ties the two sweeps together. *)
-
-type opts = {
-  o_compress : int option;
-      (** quantize RI cells to this many bits and report the
-          accuracy/size tradeoff against the exact store *)
-  o_snapshot : string option;
-      (** directory for snapshot save/load round-trip timing *)
-}
-
-val default_opts : opts
-(** Everything off — the legacy sweep. *)
-
-type compress_point = {
-  c_bits : int;
-  c_rel_err_bound : float;  (** worst-case per-cell decode error *)
-  c_bytes_per_node : float;  (** quantized peer-row store (local row excluded) *)
-  c_exact_bytes_per_node : float;  (** same network, exact peer-row store *)
-  c_found_quant : int;  (** results found across the probe queries *)
-  c_found_exact : int;
-}
 
 type point = {
   p_nodes : int;
@@ -62,13 +36,9 @@ type point = {
           measurement — process-wide and monotone, so later sizes
           include earlier ones' peak *)
   p_rss_mb : float option;  (** process resident set ({!Ri_util.Rss}) *)
-  p_snap_save_ms : float option;
-  p_snap_load_ms : float option;
-  p_compress : compress_point option;
 }
 
 val measure :
-  ?opts:opts ->
   base:Ri_sim.Config.t ->
   spec:Ri_sim.Runner.spec ->
   int ->
@@ -80,7 +50,6 @@ val measure :
 
 val sweep :
   ?sizes:int list ->
-  ?opts:opts ->
   base:Ri_sim.Config.t ->
   spec:Ri_sim.Runner.spec ->
   unit ->
@@ -90,17 +59,11 @@ val sweep :
     it). *)
 
 val report_of : point list -> Report.t
-(** The main table; snapshot columns appear only when some point
-    carries them. *)
-
-val compress_report_of : point list -> Report.t
-(** The accuracy/size table for points measured with [o_compress];
-    empty-bodied when none were. *)
+(** The sweep's table, one row per size. *)
 
 val json_of : point list -> string
-(** The points as a JSON array, for [risim scale --json]; optional
-    measurements serialize as [null] (or a nested ["compress"]
-    object). *)
+(** The points as a JSON array, for [risim scale --json]; an RSS the
+    platform cannot read serializes as [null]. *)
 
 val run : base:Ri_sim.Config.t -> spec:Ri_sim.Runner.spec -> Report.t
 (** Registry entry point: {!sweep} with default sizes, rendered. *)

@@ -45,9 +45,6 @@ type opts = {
   o_zipf : float;  (** topic-popularity skew exponent *)
   o_shift_every : int;  (** rotate the hot set every N draws; 0 = never *)
   o_trials : int;
-  o_snapshot : string option;
-      (** load the converged network from this snapshot (trial 0 only)
-          instead of building it *)
   o_hotspots : int;  (** top-K hotspot nodes reported per point, >= 0 *)
   o_timeline_bins : int;
       (** bins in the per-trial logical-time timeline (used only while
@@ -64,7 +61,6 @@ let default_opts =
     o_zipf = 1.;
     o_shift_every = 0;
     o_trials = 3;
-    o_snapshot = None;
     o_hotspots = 5;
     o_timeline_bins = 50;
   }
@@ -193,11 +189,9 @@ let validate_opts opts =
   if opts.o_trials < 1 then invalid_arg "Traffic: trials must be >= 1";
   if opts.o_hotspots < 0 then invalid_arg "Traffic: hotspots must be >= 0";
   if opts.o_timeline_bins < 1 then
-    invalid_arg "Traffic: timeline-bins must be >= 1";
-  if opts.o_snapshot <> None && opts.o_trials <> 1 then
-    invalid_arg "Traffic: --snapshot fixes the setup, use --trials 1"
+    invalid_arg "Traffic: timeline-bins must be >= 1"
 
-(* One (qps, trial) simulation: build (or load) the converged setup,
+(* One (qps, trial) simulation: build the converged setup,
    pre-draw the Poisson arrival schedule from trial-keyed substreams,
    run every query as a Step machine whose messages ride the engine's
    mailboxes, and optionally inject update waves as in-flight message
@@ -210,11 +204,7 @@ let validate_opts opts =
    carry no query key to tell them apart. *)
 let simulate (cfg : Config.t) ~opts ~qps ~trial =
   Span.with_trial ~trial (fun sink ->
-      let setup =
-        match opts.o_snapshot with
-        | Some path -> Snapshot.load path cfg ~trial
-        | None -> Trial.build ~purpose:Trial.For_update cfg ~trial
-      in
+      let setup = Trial.build ~purpose:Trial.For_update cfg ~trial in
       let net = setup.Trial.network in
       let n = Network.size net in
       let forwarding = forwarding_of cfg in

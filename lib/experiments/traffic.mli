@@ -35,9 +35,6 @@ type opts = {
   o_zipf : float;  (** topic-popularity skew exponent *)
   o_shift_every : int;  (** rotate the hot set every N draws; 0 = never *)
   o_trials : int;
-  o_snapshot : string option;
-      (** load the converged network from this snapshot (trial 0 only)
-          instead of building it *)
   o_hotspots : int;  (** top-K hotspot nodes reported per point, >= 0 *)
   o_timeline_bins : int;
       (** bins in the per-trial logical-time timeline (used only while

@@ -46,7 +46,6 @@ let content_of_placement (p : Placement.t) =
 type pending = {
   scratch : Scheme.t;
   kind : Scheme.kind;
-  quant : Rowstore.quant_config option;
   width : int;
   depth : int array;  (* BFS depth from the origin; [max_int] off its component *)
   reach : float array;
@@ -88,7 +87,7 @@ let size t = Array.length t.adj
 let install t p v =
   let adj = t.adj.(v) in
   let ri =
-    Scheme.create ~rows:(Array.length adj) ?quant:p.quant p.kind ~width:p.width
+    Scheme.create ~rows:(Array.length adj) p.kind ~width:p.width
       ~local:t.locals.(v)
   in
   let d = p.depth.(v) in
@@ -181,10 +180,6 @@ let project_query t q =
 let rng t = t.rng
 
 let compression t = t.compression
-
-let perturbed t = Option.is_some t.perturb
-
-let wave_counter t = t.next_wave
 
 let converged_iterations t = t.converged_iterations
 
@@ -350,8 +345,7 @@ let blit_payload payload dst pos =
    state, so the export sums the same operands in the same order.  The
    export's payload is copied into the flat array; a perturbation model
    perturbs it first, drawing once per reachable node, deepest first.
-   A quantized scratch encodes each reach on load and decodes it on
-   export, as installed rows do.  Every [ris] slot holds the scratch
+   Every [ris] slot holds the scratch
    until the node's first read installs its own index ({!install}). *)
 let build_rooted t origin =
   let n = size t in
@@ -397,7 +391,6 @@ let build_rooted t origin =
       {
         scratch;
         kind = Scheme.kind scratch;
-        quant = Rowstore.quant store;
         width = Scheme.width scratch;
         depth;
         reach;
@@ -406,8 +399,7 @@ let build_rooted t origin =
 
 let create ~graph ~content ?scheme ?(compression = Compression.exact)
     ?(cycle_policy = Detect_recover) ?(min_update = 0.01)
-    ?(update_distance_floor = 1.0) ?perturb ?rng ?(mode = Converged) ?quant
-    () =
+    ?(update_distance_floor = 1.0) ?perturb ?rng ?(mode = Converged) () =
   let n = Ri_topology.Graph.n graph in
   (match mode with
   | Rooted origin when origin < 0 || origin >= n ->
@@ -425,10 +417,10 @@ let create ~graph ~content ?scheme ?(compression = Compression.exact)
     match (scheme, mode) with
     | None, _ -> [||]
     | Some kind, Rooted origin ->
-        Array.make n (Scheme.create ?quant kind ~width ~local:locals.(origin))
+        Array.make n (Scheme.create kind ~width ~local:locals.(origin))
     | Some kind, Converged ->
         Array.init n (fun v ->
-            Scheme.create ~rows:(Array.length adj.(v)) ?quant kind ~width
+            Scheme.create ~rows:(Array.length adj.(v)) kind ~width
               ~local:locals.(v))
   in
   let t =
@@ -481,38 +473,6 @@ let create ~graph ~content ?scheme ?(compression = Compression.exact)
          state self-consistency — see {!Update}. *)
       if cyclic then fill_non_tree_once t parent extra);
   t
-
-(* Snapshot loading: adopt pre-built state wholesale, skipping every
-   build pass.  Perturbation models are excluded from snapshots (their
-   rng stream position is part of the state and is not captured), so the
-   result never perturbs. *)
-let of_parts ~adj ~content ~scheme_kind ~compression ~cycle_policy
-    ~min_update ~update_distance_floor ~rng ~ris ~locals
-    ~converged_iterations ~next_wave () =
-  (match scheme_kind with
-  | Some _ when Array.length ris <> Array.length adj ->
-      invalid_arg "Network.of_parts: one RI per node required"
-  | None when Array.length ris <> 0 ->
-      invalid_arg "Network.of_parts: RIs on a No-RI network"
-  | _ -> ());
-  if Array.length locals <> Array.length adj then
-    invalid_arg "Network.of_parts: one local summary per node required";
-  {
-    adj;
-    content;
-    scheme_kind;
-    compression;
-    policy = cycle_policy;
-    min_update;
-    update_distance_floor;
-    perturb = None;
-    rng;
-    ris;
-    locals;
-    pending = None;
-    converged_iterations;
-    next_wave;
-  }
 
 let remove_from_row row x =
   let len = Array.length row in

@@ -86,7 +86,6 @@ val create :
   ?perturb:float * Ri_content.Compression.error_kind ->
   ?rng:Ri_util.Prng.t ->
   ?mode:build_mode ->
-  ?quant:Ri_core.Rowstore.quant_config ->
   unit ->
   t
 (** [create ~graph ~content ()] builds the network.  Omitting [scheme]
@@ -102,11 +101,9 @@ val create :
     number"); it keeps geometrically decayed residues from ringing
     around the network.
 
-    [quant] stores RI peer rows in the bit-packed log-quantized format
-    ({!Ri_core.Rowstore.quant_config}) — the compressed-RI memory mode;
-    figure runs leave it off.  The converged construction is one
-    sequential up-and-down pass over a BFS spanning forest; trials, not
-    builds, are what runs in parallel.
+    The converged construction is one sequential up-and-down pass over
+    a BFS spanning forest; trials, not builds, are what runs in
+    parallel.
 
     A [Rooted] build is one sequential pass that computes every
     reachable node's downstream reach into a flat array; no node's
@@ -122,27 +119,6 @@ val create :
     @raise Invalid_argument for CRI + [No_op] on a cyclic graph in
     [Converged] mode, or an out-of-range [Rooted] origin (checked for
     every scheme, No-RI included, before anything is allocated). *)
-
-val of_parts :
-  adj:int array array ->
-  content:content ->
-  scheme_kind:Ri_core.Scheme.kind option ->
-  compression:Ri_content.Compression.t ->
-  cycle_policy:cycle_policy ->
-  min_update:float ->
-  update_distance_floor:float ->
-  rng:Ri_util.Prng.t ->
-  ris:Ri_core.Scheme.t array ->
-  locals:Ri_content.Summary.t array ->
-  converged_iterations:int ->
-  next_wave:int ->
-  unit ->
-  t
-(** Adopt pre-built state wholesale — the snapshot loader's constructor,
-    skipping every build pass.  The arrays are owned by the network
-    afterwards.  The result never perturbs (a perturbation model's rng
-    position is state a snapshot does not capture).
-    @raise Invalid_argument on per-node array length mismatches. *)
 
 val copy : t -> t
 (** An independent clone: adjacency rows, routing indices and projected
@@ -255,11 +231,3 @@ val rng : t -> Ri_util.Prng.t
 
 val compression : t -> Ri_content.Compression.t
 (** The index-compression model summaries are projected through. *)
-
-val perturbed : t -> bool
-(** Whether a Gaussian perturbation model is configured — such networks
-    cannot be snapshotted or template-cached. *)
-
-val wave_counter : t -> int
-(** The last wave id handed out by {!fresh_wave} (0 before any wave) —
-    persisted by snapshots so provenance stamps stay meaningful. *)

@@ -31,7 +31,6 @@ type t = {
   update_fraction : float;
   fault : Fault.spec;
   fault_seed : int option;
-  quant_bits : int option;
   seed : int;
 }
 
@@ -63,7 +62,6 @@ let base =
     update_fraction = 0.05;
     fault = Fault.none;
     fault_seed = None;
-    quant_bits = None;
     seed = 42;
   }
 
@@ -102,11 +100,6 @@ let compression t =
   Compression.of_ratio ~topics:t.topics ~ratio:t.compression_ratio
     ~mode:t.compression_mode
 
-let quant t =
-  Option.map
-    (fun bits -> { Rowstore.default_quant with Rowstore.bits })
-    t.quant_bits
-
 let search_name = function
   | No_ri -> "No-RI"
   | Ri k -> Scheme.kind_name k
@@ -131,9 +124,6 @@ let validate t =
   else if t.min_update < 0. then err "min_update must be non-negative"
   else if t.update_distance_floor < 0. then
     err "update_distance_floor must be non-negative"
-  else if
-    match t.quant_bits with Some b -> b < 1 || b > 16 | None -> false
-  then err "quant_bits must be in [1, 16]"
   else
     match Fault.validate t.fault with
     | Error msg -> err "fault spec: %s" msg

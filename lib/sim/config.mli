@@ -72,11 +72,6 @@ type t = {
           partition shape draws — replays against different networks.
           [None] (the base value) derives the plan from [seed] as
           before. *)
-  quant_bits : int option;
-      (** store RI rows log-quantized to this many bits per cell
-          ({!Ri_core.Rowstore.default_quant} vmax); [None] — the base
-          value — keeps the exact float format and with it bit-for-bit
-          figure output *)
   seed : int;
 }
 
@@ -119,9 +114,6 @@ val hybrid : t -> Ri_core.Scheme.kind
     fanout. *)
 
 val compression : t -> Ri_content.Compression.t
-
-val quant : t -> Ri_core.Rowstore.quant_config option
-(** The rowstore quantization implied by [quant_bits] (default vmax). *)
 
 val search_name : search -> string
 

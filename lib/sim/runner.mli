@@ -14,8 +14,7 @@
     and sequential runs bit-identical for the same spec.
 
     The spec is always the caller's: no environment variable changes
-    it (the bench harness derives its [max_trials] from [RI_TRIALS]
-    itself). *)
+    it ([risim]'s [--trials] and [--rel-error] build it). *)
 
 type spec = {
   min_trials : int;

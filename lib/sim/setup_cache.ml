@@ -44,16 +44,8 @@ type content_key = {
    stop-condition or byte-cost sweep reuse one template across every
    cell; each access returns [Network.copy template], never the
    template itself, so callers may mutate their copy freely.  Rooted
-   generator builds are not cached: their flat pass costs less than the
-   copy, and a trial installs only the rows its walk reads.  Only a
-   snapshot-loaded rooted network carries an origin here. *)
-(* Where a template's RI state came from.  A snapshot-loaded network
-   has the same configuration fingerprint as a generator-built one but
-   not necessarily the same floats (the snapshot may predate a content
-   tweak, or carry quantized rows), so the provenance is part of the
-   key — the two must never alias one cache slot. *)
-type source = Generated | Snapshot of string
-
+   builds are not cached: their flat pass costs less than the copy, and
+   a trial installs only the rows its walk reads. *)
 type network_key = {
   n_graph : graph_key;
   n_content : content_key;
@@ -63,9 +55,6 @@ type network_key = {
   n_policy : Ri_p2p.Network.cycle_policy;
   n_min_update : float;
   n_floor : float;  (* update_distance_floor *)
-  n_origin : int option;  (* a snapshot's [Rooted] origin; [None] is converged *)
-  n_quant : int option;  (* quantization bits; [None] is exact floats *)
-  n_source : source;
 }
 
 (* A faulty trial's paired clean run reads nothing of its configuration's
@@ -82,8 +71,6 @@ type stats = {
   content_misses : int;
   network_hits : int;
   network_misses : int;
-  network_generated : int;
-  network_snapshot : int;
   baseline_hits : int;
   baseline_misses : int;
 }
@@ -122,10 +109,6 @@ let n_hits = ref 0
 
 let n_misses = ref 0
 
-let n_generated = ref 0
-
-let n_snapshot = ref 0
-
 let b_hits = ref 0
 
 let b_misses = ref 0
@@ -160,8 +143,6 @@ let clear () =
   c_misses := 0;
   n_hits := 0;
   n_misses := 0;
-  n_generated := 0;
-  n_snapshot := 0;
   b_hits := 0;
   b_misses := 0;
   Mutex.unlock lock
@@ -176,8 +157,6 @@ let stats () =
       content_misses = !c_misses;
       network_hits = !n_hits;
       network_misses = !n_misses;
-      network_generated = !n_generated;
-      network_snapshot = !n_snapshot;
       baseline_hits = !b_hits;
       baseline_misses = !b_misses;
     }
@@ -237,11 +216,6 @@ let content key compute =
    blits preserve bit-identity with a from-scratch build.  With the
    cache disabled the freshly built network is returned as is. *)
 let network key compute =
-  Mutex.lock lock;
-  (match key.n_source with
-  | Generated -> incr n_generated
-  | Snapshot _ -> incr n_snapshot);
-  Mutex.unlock lock;
   if not !cache_enabled then compute ()
   else
     Ri_p2p.Network.copy

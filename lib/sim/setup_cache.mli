@@ -50,13 +50,6 @@ type content_key = {
   c_trial : int;
 }
 
-type source = Generated | Snapshot of string
-(** Where a template's RI state came from: built by the generators, or
-    loaded from the named snapshot file.  Part of the network key —
-    snapshot state shares the configuration fingerprint of a fresh
-    build without necessarily sharing its floats, so the two must not
-    alias one cache slot. *)
-
 type network_key = {
   n_graph : graph_key;
   n_content : content_key;
@@ -66,11 +59,6 @@ type network_key = {
   n_policy : Ri_p2p.Network.cycle_policy;
   n_min_update : float;
   n_floor : float;  (** update_distance_floor *)
-  n_origin : int option;
-      (** a snapshot-loaded network's [Rooted] origin; [None] is
-          converged, as every generator build cached here is *)
-  n_quant : int option;  (** quantization bits; [None] is exact floats *)
-  n_source : source;
 }
 (** Everything a network build depends on — and nothing it does not, so
     sweeps over stop conditions, byte costs or update batch sizes share
@@ -126,9 +114,6 @@ type stats = {
   content_misses : int;
   network_hits : int;
   network_misses : int;
-  network_generated : int;
-      (** network accesses keyed to a generator build *)
-  network_snapshot : int;  (** network accesses keyed to a snapshot *)
   baseline_hits : int;
   baseline_misses : int;
 }

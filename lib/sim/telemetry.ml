@@ -41,15 +41,6 @@ let g_pool_wait =
   Metrics.gauge ~help:"Seconds the submitter waited on stragglers."
     "ri_pool_submit_wait_seconds"
 
-let g_network_source source =
-  Metrics.gauge ~help:"Network templates built, by source."
-    ~labels:[ ("source", source) ]
-    "ri_setup_cache_network_builds"
-
-let g_net_generated = g_network_source "generated"
-
-let g_net_snapshot = g_network_source "snapshot"
-
 let export_metrics () =
   let s = Setup_cache.stats () in
   Metrics.set g_graph_hits (float_of_int s.Setup_cache.graph_hits);
@@ -60,8 +51,6 @@ let export_metrics () =
   Metrics.set g_network_misses (float_of_int s.Setup_cache.network_misses);
   Metrics.set g_baseline_hits (float_of_int s.Setup_cache.baseline_hits);
   Metrics.set g_baseline_misses (float_of_int s.Setup_cache.baseline_misses);
-  Metrics.set g_net_generated (float_of_int s.Setup_cache.network_generated);
-  Metrics.set g_net_snapshot (float_of_int s.Setup_cache.network_snapshot);
   let pool = Pool.global () in
   let p = Pool.stats pool in
   Metrics.set g_pool_jobs (float_of_int (Pool.jobs pool));
@@ -88,24 +77,13 @@ let pct hits misses =
   let total = hits + misses in
   if total = 0 then 0. else 100. *. float_of_int hits /. float_of_int total
 
-(* The source tag distinguishes templates the generators built from
-   templates loaded off a snapshot file — with both in play the hit
-   ratios alone no longer say where the networks came from. *)
-let source_tag s =
-  if s.Setup_cache.network_snapshot = 0 then
-    if s.Setup_cache.network_generated = 0 then ""
-    else Printf.sprintf " [source: generated x%d]" s.Setup_cache.network_generated
-  else
-    Printf.sprintf " [source: generated x%d, snapshot x%d]"
-      s.Setup_cache.network_generated s.Setup_cache.network_snapshot
-
 let cache_line () =
   if not (Setup_cache.enabled ()) then "setup-cache: disabled (RI_CACHE=0)"
   else
     let s = Setup_cache.stats () in
     Printf.sprintf
       "setup-cache: graphs %d hits / %d misses (%.0f%%), content %d hits / %d \
-       misses (%.0f%%), networks %d hits / %d misses (%.0f%%)%s, baselines %d \
+       misses (%.0f%%), networks %d hits / %d misses (%.0f%%), baselines %d \
        hits / %d misses"
       s.Setup_cache.graph_hits s.Setup_cache.graph_misses
       (pct s.Setup_cache.graph_hits s.Setup_cache.graph_misses)
@@ -113,7 +91,7 @@ let cache_line () =
       (pct s.Setup_cache.content_hits s.Setup_cache.content_misses)
       s.Setup_cache.network_hits s.Setup_cache.network_misses
       (pct s.Setup_cache.network_hits s.Setup_cache.network_misses)
-      (source_tag s) s.Setup_cache.baseline_hits s.Setup_cache.baseline_misses
+      s.Setup_cache.baseline_hits s.Setup_cache.baseline_misses
 
 let pool_line () =
   let pool = Pool.global () in

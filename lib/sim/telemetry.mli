@@ -23,9 +23,7 @@ val gc_lines : unit -> string list
 val cache_line : unit -> string
 (** e.g. ["setup-cache: graphs 40 hits / 8 misses (83%), content ...,
     baselines 35 hits / 5 misses"], or a note that the cache is
-    disabled.  When any network template came from a snapshot file the
-    networks entry carries a [[source: generated xN, snapshot xM]]
-    tag. *)
+    disabled. *)
 
 val pool_line : unit -> string
 (** e.g. ["pool: 4 domains, 12 waves / 96 trials (max wave 8), ..."].

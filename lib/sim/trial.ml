@@ -123,9 +123,7 @@ let build ?(purpose = For_query) ?perturb ?(mutable_placement = false)
             ~compression:(Config.compression cfg)
             ~cycle_policy:cfg.cycle_policy ~min_update:cfg.min_update
             ~update_distance_floor:cfg.update_distance_floor ?perturb
-            ~rng:net_rng ~mode
-            ?quant:(Config.quant cfg)
-            ()
+            ~rng:net_rng ~mode ()
         in
         (* A converged network is itself cacheable: a template is
            shared across every sweep cell with the same overlay, content
@@ -147,9 +145,6 @@ let build ?(purpose = For_query) ?perturb ?(mutable_placement = false)
                 n_policy = cfg.cycle_policy;
                 n_min_update = cfg.min_update;
                 n_floor = cfg.update_distance_floor;
-                n_origin = None;
-                n_quant = cfg.quant_bits;
-                n_source = Setup_cache.Generated;
               }
               fresh
         | Network.Converged | Network.Rooted _ -> fresh ())

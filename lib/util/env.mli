@@ -1,9 +1,8 @@
 (** Environment-variable knobs, parsed one way everywhere.
 
     The library reads a handful of tuning variables ([RI_JOBS],
-    [RI_OBS], [RI_CACHE], ...) and the bench harness two more
-    ([RI_NODES], [RI_TRIALS]); every consumer used to hand-roll its own
-    parser.  These helpers centralize the policy: an
+    [RI_OBS], [RI_CACHE], ...); every consumer used to hand-roll its
+    own parser.  These helpers centralize the policy: an
     unset value falls back to the default silently; a malformed or
     out-of-range value also falls back, but prints one warning per
     variable on stderr, so a typo degrades to the documented behavior

@@ -1,6 +1,6 @@
 (* Resident-set sampling for the scale experiment: GC stats only see the
-   OCaml heap, while mmapped snapshot sections and malloc'd bigarrays
-   live outside it.  On Linux, /proc/self/statm column 2 is the resident
+   OCaml heap, while the runtime's own allocations and malloc'd
+   bigarrays live outside it.  On Linux, /proc/self/statm column 2 is the resident
    page count and /proc/self/status VmHWM is the lifetime peak; both
    reads are a handful of syscalls.  Elsewhere both probes return [None]
    and callers fall back to GC numbers. *)

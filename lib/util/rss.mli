@@ -1,5 +1,5 @@
 (** Process resident-set size, for memory reporting that sees past the
-    OCaml heap (mmapped snapshots, malloc'd bigarrays).
+    OCaml heap (the runtime's own allocations, malloc'd bigarrays).
 
     Linux-only probes over procfs; on other platforms every function
     returns [None] and callers should fall back to [Gc] statistics. *)

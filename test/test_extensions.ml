@@ -38,11 +38,11 @@ let test_hybrid_never_forgets () =
   in
   Alcotest.(check (float 1e-9))
     "plain HRI is blind" 0.
-    (chain (Hri.create ?rows:None ?quant:None));
+    (chain (Hri.create ?rows:None));
   (* Hybrid: 100 docs in the tail, discounted at horizon+1 = 3 hops:
      100 / 3^2. *)
   Alcotest.(check (float 1e-6)) "hybrid sees the tail" (100. /. 9.)
-    (chain (Hri.create_hybrid ?rows:None ?quant:None))
+    (chain (Hri.create_hybrid ?rows:None))
 
 let test_hybrid_tail_accumulates () =
   (* The column crossing the horizon merges into the tail rather than

@@ -192,59 +192,6 @@ let check_report id run expected () =
         bits (Int64.bits_of_float v))
     expected actual
 
-(* Snapshot round trip: a setup saved and reloaded must route queries
-   and updates bit-for-bit like the generator-built original — the
-   loaded stores replay the saved peer iteration order, so any drift in
-   the persistence layer shows up as a metric difference here. *)
-let check_same_metrics id (a : Trial.query_metrics) (b : Trial.query_metrics) =
-  Alcotest.(check int) (id ^ " messages") a.Trial.messages b.Trial.messages;
-  Alcotest.(check int) (id ^ " found") a.Trial.found b.Trial.found;
-  Alcotest.(check int)
-    (id ^ " visited") a.Trial.nodes_visited b.Trial.nodes_visited;
-  Alcotest.(check bool) (id ^ " satisfied") a.Trial.satisfied b.Trial.satisfied;
-  Alcotest.(check int64)
-    (id ^ " bytes bits")
-    (Int64.bits_of_float a.Trial.bytes)
-    (Int64.bits_of_float b.Trial.bytes)
-
-let snapshot_round_trip ?(quant_bits = None) ~purpose ~rooted () =
-  let cfg =
-    Config.scaled
-      { Config.base with Config.seed = 47; quant_bits }
-      ~num_nodes:nodes
-  in
-  let trial = 1 in
-  let built = Trial.build ~purpose cfg ~trial in
-  let path = Filename.temp_file "risnap" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Snapshot.save path cfg ~trial ~rooted built;
-      let loaded = Snapshot.load path cfg ~trial in
-      Alcotest.(check int) "origin" built.Trial.origin loaded.Trial.origin;
-      check_same_metrics "query"
-        (Trial.run_query_on cfg built)
-        (Trial.run_query_on cfg loaded);
-      let ub = Trial.run_update_on cfg built in
-      let ul = Trial.run_update_on cfg loaded in
-      Alcotest.(check int)
-        "update messages" ub.Trial.update_messages ul.Trial.update_messages;
-      Alcotest.(check int)
-        "update wire bytes" ub.Trial.update_wire_bytes ul.Trial.update_wire_bytes)
-
-let snapshot_rejects_mismatch () =
-  let cfg = Config.scaled { Config.base with Config.seed = 47 } ~num_nodes:nodes in
-  let trial = 1 in
-  let built = Trial.build ~purpose:Trial.For_update cfg ~trial in
-  let path = Filename.temp_file "risnap" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Snapshot.save path cfg ~trial ~rooted:false built;
-      match Snapshot.load path { cfg with Config.seed = 48 } ~trial with
-      | _ -> Alcotest.fail "fingerprint mismatch accepted"
-      | exception Failure _ -> ())
-
 (* The faulty walk end to end: every outcome, fault counter, decision
    record and trace event of [Trial.run_query_faulty] across both cycle
    policies on a tree and a cyclic overlay, every search mechanism, with
@@ -503,15 +450,6 @@ let suite =
            expected_recovery);
       Alcotest.test_case "faulty walk digest at 300 nodes" `Slow
         faulty_walk_digest;
-      Alcotest.test_case "snapshot round trip (converged)" `Quick
-        (snapshot_round_trip ~purpose:Trial.For_update ~rooted:false);
-      Alcotest.test_case "snapshot round trip (rooted)" `Quick
-        (snapshot_round_trip ~purpose:Trial.For_query ~rooted:true);
-      Alcotest.test_case "snapshot round trip (quantized)" `Quick
-        (snapshot_round_trip ~quant_bits:(Some 8) ~purpose:Trial.For_update
-           ~rooted:false);
-      Alcotest.test_case "snapshot rejects config mismatch" `Quick
-        snapshot_rejects_mismatch;
     ]
     @ List.map
         (fun ((body, _, _) as b) ->

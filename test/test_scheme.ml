@@ -316,30 +316,17 @@ let test_threshold_boundary () =
 
 (* Reference exports: the per-scheme aggregate, per-peer subtraction
    and hop shift, ported operation for operation over the public
-   rowstore API (same iteration order, same per-slot arithmetic, same
-   quantized-store decode).  [exports t] returns the export for "no
-   excluded row" ([None]) or for excluding the row at an offset. *)
+   rowstore API (same iteration order, same per-slot arithmetic).
+   [exports t] returns the export for "no excluded row" ([None]) or for
+   excluding the row at an offset. *)
 module Ref_export = struct
   open Ri_util
 
   let rows store ~f =
-    if Rowstore.quantized store then begin
-      let buf = Rowstore.scratch store in
-      Rowstore.iter store (fun _ off ->
-          Rowstore.decode_row store off buf;
-          f buf 0)
-    end
-    else
-      let d = Rowstore.data store in
-      Rowstore.iter store (fun _ off -> f d off)
+    let d = Rowstore.data store in
+    Rowstore.iter store (fun _ off -> f d off)
 
-  let row_at store off =
-    if Rowstore.quantized store then begin
-      let buf = Rowstore.scratch store in
-      Rowstore.decode_row store off buf;
-      (buf, 0)
-    end
-    else (Rowstore.data store, off)
+  let row_at store off = (Rowstore.data store, off)
 
   (* CRI: local plus every row; minus one row, clamped. *)
   let cri width (local : Summary.t) store =
@@ -477,7 +464,6 @@ let exports_bits a b =
 let export_case_gen =
   QCheck.Gen.(
     let* kind_ix = int_range 0 3 in
-    let* quant = bool in
     let* rows =
       list_size (int_range 0 8)
         (triple (int_range 0 9) (frequencyl [ (1, true); (4, false) ])
@@ -486,14 +472,13 @@ let export_case_gen =
     let* removed = opt (int_range 0 9) in
     let* except = list_size (int_range 0 3) (int_range 0 9) in
     let+ local = float_range 0. 100. in
-    (kind_ix, quant, rows, removed, except, local))
+    (kind_ix, rows, removed, except, local))
 
-let build_index (kind_ix, quant, rows, removed, _, local) =
+let build_index (kind_ix, rows, removed, _, local) =
   let width = 3 in
   let kind = List.nth kinds kind_ix in
-  let quant = if quant then Some Ri_core.Rowstore.default_quant else None in
   let t =
-    Scheme.create ?quant kind ~width
+    Scheme.create kind ~width
       ~local:(s local [| local /. 3.; local *. 0.7; 0. |])
   in
   let summary zero v =
@@ -521,9 +506,9 @@ let build_index (kind_ix, quant, rows, removed, _, local) =
 
 let export_case =
   QCheck.make
-    ~print:(fun (k, q, rows, removed, except, local) ->
-      Printf.sprintf "kind %d quant %b local %h rows [%s] removed %s except [%s]"
-        k q local
+    ~print:(fun (k, rows, removed, except, local) ->
+      Printf.sprintf "kind %d local %h rows [%s] removed %s except [%s]"
+        k local
         (String.concat "; "
            (List.map
               (fun (p, z, v) -> Printf.sprintf "(%d, %b, %h)" p z v)
@@ -536,7 +521,7 @@ let prop_exports_bits =
   QCheck.Test.make
     ~name:"export, export_all and export_except bits match the reference"
     ~count:400 export_case (fun case ->
-      let (_, _, _, _, except, _) = case in
+      let (_, _, _, except, _) = case in
       let t = build_index case in
       exports_bits (Scheme.export_all t) (Ref_export.export_except t ~except:[])
       && exports_bits

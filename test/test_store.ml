@@ -342,46 +342,6 @@ let test_row_roundtrip () =
     (Option.get (Cri.row flat ~peer:2));
   Alcotest.(check bool) "absent row" true (Cri.row flat ~peer:9 = None)
 
-(* {2 Quantized cell format} *)
-
-let quant_case =
-  QCheck.make
-    ~print:(fun (bits, row) ->
-      Printf.sprintf "bits=%d row=[%s]" bits
-        (String.concat ";" (Array.to_list (Array.map string_of_float row))))
-    QCheck.Gen.(
-      int_range 1 16 >>= fun bits ->
-      array_size (int_range 1 8) (float_range 0. 1e6) >>= fun row ->
-      return (bits, row))
-
-(* One encode/decode trip stays within the advertised log-bucket bound
-   (γ/2 in log1p space, so |v' - v| <= expm1(γ/2) * (1 + v)), zero is
-   exact, and re-encoding a decoded row reproduces it losslessly — the
-   [encode (decode k) = k] contract snapshots rely on. *)
-let prop_quant_roundtrip =
-  QCheck.Test.make ~name:"quant round trip: bounded error, stable codes"
-    ~count:300 quant_case (fun (bits, row) ->
-      let q = { Rowstore.bits; vmax = 1e9 } in
-      let stride = Array.length row in
-      let t = Rowstore.create ~quant:q ~stride () in
-      let off = Rowstore.ensure t 7 in
-      Rowstore.encode_row t off row;
-      let once = Array.make stride Float.nan in
-      Rowstore.decode_row t off once;
-      let bound = Rowstore.quant_rel_error_bound q in
-      let within = ref true in
-      Array.iteri
-        (fun i v ->
-          let v' = once.(i) in
-          if v <= 0. then (if v' <> 0. then within := false)
-          else if Float.abs (v' -. v) > (bound *. (1. +. v)) +. 1e-9 then
-            within := false)
-        row;
-      Rowstore.encode_row t off once;
-      let twice = Array.make stride Float.nan in
-      Rowstore.decode_row t off twice;
-      !within && once = twice)
-
 (* {2 Reset stores}
 
    The rooted build reuses one scratch store per network, resetting it
@@ -410,32 +370,28 @@ let reset_round_gen =
 
 let reset_case =
   QCheck.make
-    ~print:(fun (quantized, rounds) ->
-      Printf.sprintf "quantized=%b %s" quantized
-        (String.concat " | "
-           (List.map
-              (fun (dirt, clone, seq) ->
-                Printf.sprintf "dirt=%d clone=%b seq=[%s]" (List.length dirt)
-                  clone
-                  (String.concat ";" (List.map string_of_int seq)))
-              rounds)))
-    QCheck.Gen.(pair bool (list_size (int_range 1 4) reset_round_gen))
+    ~print:(fun rounds ->
+      String.concat " | "
+        (List.map
+           (fun (dirt, clone, seq) ->
+             Printf.sprintf "dirt=%d clone=%b seq=[%s]" (List.length dirt) clone
+               (String.concat ";" (List.map string_of_int seq)))
+           rounds))
+    QCheck.Gen.(list_size (int_range 1 4) reset_round_gen)
 
-(* Peers in iteration order, each with its decoded row's bits. *)
+(* Peers in iteration order, each with its row's bits. *)
 let iterated t =
   let acc = ref [] in
   Rowstore.iter t (fun peer off ->
-      let row = Array.make (Rowstore.stride t) Float.nan in
-      Rowstore.decode_row t off row;
+      let row = Array.sub (Rowstore.data t) off (Rowstore.stride t) in
       acc := (peer, Array.map Int64.bits_of_float row) :: !acc);
   List.rev !acc
 
 let prop_reset_like_fresh =
   QCheck.Test.make ~name:"reset store iterates like a fresh one" ~count:200
-    reset_case (fun (quantized, rounds) ->
-      let quant = if quantized then Some Rowstore.default_quant else None in
+    reset_case (fun rounds ->
       let stride = 3 in
-      let scratch = Rowstore.create ~rows:1 ?quant ~stride () in
+      let scratch = Rowstore.create ~rows:1 ~stride () in
       let row = Array.make stride 0. in
       let load t peer =
         row.(0) <- float_of_int peer;
@@ -456,7 +412,7 @@ let prop_reset_like_fresh =
           in
           Rowstore.reset scratch;
           let empty = Rowstore.count scratch = 0 in
-          let fresh = Rowstore.create ?quant ~stride () in
+          let fresh = Rowstore.create ~stride () in
           List.iter
             (fun p ->
               load scratch p;
@@ -490,50 +446,6 @@ let test_rowstore_reset_zeroes () =
   Alcotest.(check int) "stamps cleared" 0
     (Rowstore.stamp s 11 + Rowstore.stamp s 12)
 
-(* {2 Snapshot rebuild ([of_loaded])} *)
-
-let test_of_loaded_replays_order () =
-  let stride = 3 in
-  let peers = [| 9; 2; 5 |] in
-  let stamps = [| 4; 0; 7 |] in
-  let rows = [| 1.; 2.; 3.; 4.; 5.; 6.; 7.; 8.; 9. |] in
-  let t = Rowstore.of_loaded ~stride ~peers ~stamps (`Floats rows) in
-  Alcotest.(check int) "count" 3 (Rowstore.count t);
-  Alcotest.(check (array int)) "iteration peers" peers
-    (Rowstore.iteration_peers t);
-  let visited = ref [] in
-  Rowstore.iter t (fun peer off ->
-      let dst = Array.make stride Float.nan in
-      Rowstore.decode_row t off dst;
-      visited := (peer, dst) :: !visited);
-  (match List.rev !visited with
-  | [ (9, a); (2, b); (5, c) ] ->
-      Alcotest.check exact "row 9" [| 1.; 2.; 3. |] a;
-      Alcotest.check exact "row 2" [| 4.; 5.; 6. |] b;
-      Alcotest.check exact "row 5" [| 7.; 8.; 9. |] c
-  | _ -> Alcotest.fail "iter did not replay the saved order");
-  Alcotest.(check int) "stamp carried" 7 (Rowstore.stamp t 5);
-  Alcotest.(check int) "zero stamp carried" 0 (Rowstore.stamp t 2)
-
-let test_of_loaded_rejects_bad_sections () =
-  let rejects name f =
-    match f () with
-    | _ -> Alcotest.fail (name ^ ": accepted")
-    | exception Invalid_argument _ -> ()
-  in
-  rejects "payload length mismatch" (fun () ->
-      Rowstore.of_loaded ~stride:3 ~peers:[| 1; 2 |] ~stamps:[| 0; 0 |]
-        (`Floats (Array.make 5 0.)));
-  rejects "duplicate peers" (fun () ->
-      Rowstore.of_loaded ~stride:2 ~peers:[| 4; 4 |] ~stamps:[| 0; 0 |]
-        (`Floats (Array.make 4 0.)));
-  rejects "stamps length mismatch" (fun () ->
-      Rowstore.of_loaded ~stride:2 ~peers:[| 1; 2 |] ~stamps:[| 0 |]
-        (`Floats (Array.make 4 0.)));
-  rejects "codes without quantizer" (fun () ->
-      Rowstore.of_loaded ~stride:2 ~peers:[| 1 |] ~stamps:[| 0 |]
-        (`Codes (Bytes.create 2)))
-
 let suite =
   ( "store",
     [
@@ -550,11 +462,6 @@ let suite =
       Alcotest.test_case "row roundtrip" `Quick test_row_roundtrip;
       Alcotest.test_case "rowstore reset zeroes rows and stamps" `Quick
         test_rowstore_reset_zeroes;
-      Alcotest.test_case "of_loaded replays saved order" `Quick
-        test_of_loaded_replays_order;
-      Alcotest.test_case "of_loaded rejects bad sections" `Quick
-        test_of_loaded_rejects_bad_sections;
-      QCheck_alcotest.to_alcotest prop_quant_roundtrip;
       QCheck_alcotest.to_alcotest prop_add_slice;
       QCheck_alcotest.to_alcotest prop_sub_clamp_slice;
       QCheck_alcotest.to_alcotest prop_scale_slice;

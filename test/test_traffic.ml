@@ -960,8 +960,6 @@ let test_invalid_opts_rejected () =
       { fast_opts with Traffic.o_qps = [] };
       { fast_opts with Traffic.o_qps = [ -5. ] };
       { fast_opts with Traffic.o_trials = 0 };
-      { fast_opts with Traffic.o_snapshot = Some "x.risnap" };
-      (* snapshot with trials <> 1 *)
       { fast_opts with Traffic.o_hotspots = -1 };
       { fast_opts with Traffic.o_timeline_bins = 0 };
     ];
