@@ -99,11 +99,13 @@ let disconnect_node net v ~counters =
   former
 
 (* Crash-recovery row persistence: a compact binary image of one node's
-   RI rows, in the style of [Ri_sim.Snapshot]'s row sections (this
-   library cannot depend on [ri_sim], so the codec lives here).  Floats
-   are stored as their IEEE bit patterns, little-endian, and rows in the
-   store's live iteration order, so persist -> restore round-trips
-   bit-identically — the determinism contract extends to rejoin. *)
+   RI rows.  Floats are stored as their IEEE bit patterns,
+   little-endian, and rows in increasing peer order, so persist ->
+   restore round-trips bit-identically — the determinism contract
+   extends to rejoin.  The layout: the magic, a row count, then per row
+   its peer, a payload tag (0 vector, 1 per-hop vector; the latter with
+   its hop count) and each summary as its total, its width and its
+   per-topic cells. *)
 
 type rejoin = Amnesiac | Stale_state of Bytes.t
 
@@ -150,52 +152,64 @@ let persist_rows net v =
 let corrupt what = invalid_arg ("Churn.recover: corrupt stale state: " ^ what)
 
 let read_i32 bytes pos =
-  if !pos + 4 > Bytes.length bytes then corrupt "truncated int";
+  if !pos + 4 > Bytes.length bytes then corrupt "truncated image";
   let x = Int32.to_int (Bytes.get_int32_le bytes !pos) in
   pos := !pos + 4;
   x
 
-let read_f64 bytes pos =
-  if !pos + 8 > Bytes.length bytes then corrupt "truncated float";
+(* Every cell is a document count: finite and non-negative. *)
+let read_cell bytes pos =
+  if !pos + 8 > Bytes.length bytes then corrupt "truncated image";
   let x = Int64.float_of_bits (Bytes.get_int64_le bytes !pos) in
   pos := !pos + 8;
+  if not (Float.is_finite x) then corrupt "non-finite cell";
+  if x < 0. then corrupt "negative cell";
   x
 
-let read_summary bytes pos =
-  let total = read_f64 bytes pos in
-  let topics = read_i32 bytes pos in
-  if topics < 0 || topics > 1 lsl 20 then corrupt "bad topic width";
-  let by_topic = Array.init topics (fun _ -> read_f64 bytes pos) in
-  Ri_content.Summary.make ~total ~by_topic
+let read_summary bytes pos ~width =
+  let total = read_cell bytes pos in
+  if read_i32 bytes pos <> width then corrupt "summary width";
+  let by_topic = Array.init width (fun _ -> read_cell bytes pos) in
+  { Ri_content.Summary.total; by_topic }
 
-let read_payload bytes pos =
-  match read_i32 bytes pos with
-  | 0 -> Scheme.Vector (read_summary bytes pos)
-  | 1 ->
-      let hops = read_i32 bytes pos in
-      if hops < 0 || hops > 1 lsl 10 then corrupt "bad hop count";
-      Scheme.Hop_vector (Array.init hops (fun _ -> read_summary bytes pos))
+(* A payload of the node's own row shape: a vector, or [hops] summaries
+   per row. *)
+let read_payload bytes pos ~width ~hops =
+  match (read_i32 bytes pos, hops) with
+  | 0, None -> Scheme.Vector (read_summary bytes pos ~width)
+  | 1, Some hops ->
+      if read_i32 bytes pos <> hops then corrupt "hop count";
+      Scheme.Hop_vector (Array.init hops (fun _ -> read_summary bytes pos ~width))
+  | (0 | 1), _ -> corrupt "payload shape"
   | _ -> corrupt "unknown payload tag"
 
-let restore_rows net v bytes =
+(* The whole image, decoded and checked against the index [ri] it will
+   be restored into, before anything is mutated: the rows in image
+   order, each with its peer. *)
+let decode_rows ri bytes =
   let magic_len = String.length rows_magic in
   if
     Bytes.length bytes < magic_len
     || not (String.equal (Bytes.sub_string bytes 0 magic_len) rows_magic)
   then corrupt "bad magic";
+  let width = Scheme.width ri in
+  let hops =
+    match Scheme.kind ri with
+    | Scheme.Cri_kind | Scheme.Eri_kind _ -> None
+    | Scheme.Hri_kind { horizon; _ } -> Some horizon
+    | Scheme.Hybrid_kind { horizon; _ } -> Some (horizon + 1)
+  in
   let pos = ref magic_len in
   let count = read_i32 bytes pos in
   if count < 0 then corrupt "negative row count";
-  let ri = Network.ri net v in
+  let rows = ref [] in
   for _ = 1 to count do
     let peer = read_i32 bytes pos in
-    let payload = read_payload bytes pos in
-    (* A peer the node is no longer linked to gets no row: rows drive
-       the exports, and a stale row toward a vanished link would
-       re-advertise an unreachable subtree. *)
-    if peer >= 0 && peer < Network.size net && Network.has_link net v peer
-    then Scheme.set_row ri ~peer payload
-  done
+    let payload = read_payload bytes pos ~width ~hops in
+    rows := (peer, payload) :: !rows
+  done;
+  if !pos <> Bytes.length bytes then corrupt "trailing bytes";
+  List.rev !rows
 
 let crash_stop net v ~plan =
   if v < 0 || v >= Network.size net then
@@ -270,29 +284,43 @@ let recover ?on_event net v ~rejoin ~plan ~counters =
     invalid_arg "Churn.recover: node out of range";
   if not (Fault.is_dead plan v) then
     invalid_arg "Churn.recover: node is not crash-stopped";
+  (* A stale image is checked whole before anything changes: a refused
+     image leaves the node crash-stopped with its rows as they were. *)
+  let stale =
+    match rejoin with
+    | Stale_state bytes when Network.has_ri net ->
+        Some (decode_rows (Network.ri net v) bytes)
+    | Stale_state _ | Amnesiac -> None
+  in
   (* Revival first: it revokes every death certificate naming [v], so
      the re-announcement below cannot be undone by certificate gossip. *)
   Fault.revive plan v;
   (if Network.has_ri net then
      let ri = Network.ri net v in
-     match rejoin with
-     | Amnesiac ->
+     List.iter (fun peer -> Scheme.remove_row ri ~peer) (Scheme.peers ri);
+     match stale with
+     | None ->
          (* The crash lost the RI.  The node starts from its local index
             only, and knows it: every live link opens a recorded gap, so
             ranking demotes the missing knowledge and anti-entropy (or
             the next clean wave) refills the rows. *)
-         List.iter (fun peer -> Scheme.remove_row ri ~peer) (Scheme.peers ri);
          Array.iter
            (fun u ->
              if not (Fault.is_dead plan u) then
                Fault.note_missed plan ~at:v ~peer:u)
            (Network.neighbors net v)
-     | Stale_state bytes ->
+     | Some rows ->
          (* Replay the persisted image.  The rows are whatever was true
             at persist time — possibly badly stale; the dirty mark and
-            the re-announcement below start the repair. *)
-         List.iter (fun peer -> Scheme.remove_row ri ~peer) (Scheme.peers ri);
-         restore_rows net v bytes);
+            the re-announcement below start the repair.  A peer the
+            node is no longer linked to gets no row: rows drive the
+            exports, and a stale row toward a vanished link would
+            re-advertise an unreachable subtree. *)
+         List.iter
+           (fun (peer, payload) ->
+             if peer >= 0 && peer < Network.size net && Network.has_link net v peer
+             then Scheme.set_row ri ~peer payload)
+           rows);
   Fault.set_dirty plan v;
   (* Re-announce: "a newly connected node sends a summary of its local
      index" (Section 5.1) — here a full propagation from the rejoined

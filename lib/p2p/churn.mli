@@ -91,9 +91,9 @@ type rejoin =
           crash *)
 
 val persist_rows : Network.t -> int -> Bytes.t
-(** Serialize one node's RI rows — [Ri_sim.Snapshot]-style row
-    sections: IEEE float bits, little-endian, rows in the store's live
-    iteration order — so persist → restore round-trips bit-identically.
+(** Serialize one node's RI rows: IEEE float bits, little-endian, rows
+    in increasing peer order — so persist → restore round-trips
+    bit-identically.
     @raise Invalid_argument on an out-of-range node or an RI-less
     network. *)
 
@@ -113,5 +113,11 @@ val recover :
     dropped); marks the node dirty; and re-announces with a full
     {!Update.propagate} — subject to the plan's faults like any other
     wave.
+    A stale image is decoded and checked whole before anything changes:
+    its payload shape, hop count and summary widths must match the
+    node's index, every cell must be finite and non-negative, and no
+    bytes may trail the last row.  A refused image raises
+    [Invalid_argument "Churn.recover: corrupt stale state: ..."] and
+    leaves the node crash-stopped with its rows unchanged.
     @raise Invalid_argument if the node is out of range, not currently
     crash-stopped, or the stale image is corrupt. *)

@@ -61,17 +61,143 @@ let test_persist_restore_roundtrip () =
   Alcotest.(check bool) "rows restored bit-identically" true
     (List.nth (rows_snapshot net) 3 = before)
 
+(* A CRI row image built by hand: the persist layout, one vector row per
+   (peer, total, per-topic cells). *)
+let cri_image rows =
+  let b = Buffer.create 64 in
+  Buffer.add_string b "RIROWS01";
+  Buffer.add_int32_le b (Int32.of_int (List.length rows));
+  List.iter
+    (fun (peer, total, cells) ->
+      Buffer.add_int32_le b (Int32.of_int peer);
+      Buffer.add_int32_le b 0l;
+      Buffer.add_int64_le b (Int64.bits_of_float total);
+      Buffer.add_int32_le b (Int32.of_int (Array.length cells));
+      Array.iter (fun c -> Buffer.add_int64_le b (Int64.bits_of_float c)) cells)
+    rows;
+  Buffer.to_bytes b
+
+let corrupt_prefix = "Churn.recover: corrupt stale state: "
+
+(* Every refused image raises the documented error before anything
+   changes: the node stays crash-stopped and keeps its rows. *)
 let test_persist_rejects_corrupt () =
   let net = line_net 7 in
   let plan = Fault.make recovery_spec ~seed:5 ~trial:0 ~nodes:7 ~protect:[ 0 ] in
   let image = Churn.persist_rows net 3 in
-  Bytes.set image 0 'X';
+  let before = List.nth (rows_snapshot net) 3 in
   Churn.crash_stop net 3 ~plan;
+  let recover image () =
+    Churn.recover net 3 ~rejoin:(Churn.Stale_state image) ~plan
+      ~counters:(Message.create ())
+  in
+  let unchanged name =
+    Alcotest.(check bool) (name ^ ": still crash-stopped") true
+      (Fault.is_dead plan 3);
+    Alcotest.(check bool) (name ^ ": rows unchanged") true
+      (List.nth (rows_snapshot net) 3 = before)
+  in
+  let bad_magic = Bytes.copy image in
+  Bytes.set bad_magic 0 'X';
   Alcotest.check_raises "corrupt magic rejected"
-    (Invalid_argument "Churn.recover: corrupt stale state: bad magic")
-    (fun () ->
-      Churn.recover net 3 ~rejoin:(Churn.Stale_state image) ~plan
-        ~counters:(Message.create ()))
+    (Invalid_argument (corrupt_prefix ^ "bad magic"))
+    (recover bad_magic);
+  unchanged "bad magic";
+  List.iter
+    (fun (name, image) ->
+      (match recover image () with
+      | () -> Alcotest.failf "%s: accepted" name
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %S is the documented error" name msg)
+            true
+            (String.starts_with ~prefix:corrupt_prefix msg));
+      unchanged name)
+    [
+      ("truncated image", Bytes.sub image 0 (Bytes.length image - 4));
+      ("negative cell", cri_image [ (2, 3., [| -1. |]) ]);
+      ("width-2 summary", cri_image [ (2, 3., [| 1.; 2. |]) ]);
+      ("NaN cell", cri_image [ (2, Float.nan, [| 1. |]) ]);
+      ("infinite cell", cri_image [ (2, 3., [| Float.infinity |]) ]);
+      ("trailing bytes", Bytes.cat image (Bytes.make 8 '\000'));
+    ];
+  recover image ();
+  Alcotest.(check bool) "the intact image still restores" true
+    (List.nth (rows_snapshot net) 3 = before)
+
+(* Byte flips and truncations of a persisted image, for each scheme on a
+   30-node tree: each either is refused with the documented error,
+   leaving the node crash-stopped with its rows, or restores only
+   finite, non-negative cells. *)
+let fuzz_nets =
+  lazy
+    (let cfg = Config.scaled { Config.base with Config.seed = 11 } ~num_nodes:30 in
+     List.map
+       (fun search ->
+         let cfg = Config.with_search cfg (Config.Ri search) in
+         let net = (Trial.build ~purpose:Trial.For_update cfg ~trial:0).Trial.network in
+         (* The best-linked node, so the image holds several rows. *)
+         let v = ref 0 in
+         for u = 1 to Network.size net - 1 do
+           if Network.degree net u > Network.degree net !v then v := u
+         done;
+         (net, !v))
+       Config.[ cri; hri cfg; eri cfg ])
+
+let payload_cells = function
+  | Scheme.Vector s -> [ s ]
+  | Scheme.Hop_vector r -> Array.to_list r
+
+let sound_cell x = Float.is_finite x && x >= 0.
+
+let prop_stale_image_fuzz =
+  QCheck.Test.make ~name:"stale image flips and truncations refused or sound"
+    ~count:300
+    QCheck.(
+      triple (int_range 0 2) bool (pair (int_range 0 100_000) (int_range 1 255)))
+    (fun (scheme, truncate, (at, flip)) ->
+      let base, v = List.nth (Lazy.force fuzz_nets) scheme in
+      let net = Network.copy base in
+      let image = Churn.persist_rows net v in
+      let at = at mod Bytes.length image in
+      let image =
+        if truncate then Bytes.sub image 0 at
+        else begin
+          let b = Bytes.copy image in
+          Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor flip));
+          b
+        end
+      in
+      let plan =
+        Fault.make recovery_spec ~seed:3 ~trial:0 ~nodes:(Network.size net)
+          ~protect:[]
+      in
+      let rows () =
+        let ri = Network.ri net v in
+        List.map (fun p -> (p, Scheme.row ri ~peer:p)) (Scheme.peers ri)
+      in
+      let before = rows () in
+      Churn.crash_stop net v ~plan;
+      match
+        Churn.recover net v ~rejoin:(Churn.Stale_state image) ~plan
+          ~counters:(Message.create ())
+      with
+      | exception Invalid_argument msg ->
+          String.starts_with ~prefix:corrupt_prefix msg
+          && Fault.is_dead plan v
+          && rows () = before
+      | () ->
+          List.for_all
+            (fun (_, row) ->
+              match row with
+              | None -> false
+              | Some payload ->
+                  List.for_all
+                    (fun (s : Summary.t) ->
+                      sound_cell s.Summary.total
+                      && Array.for_all sound_cell s.Summary.by_topic)
+                    (payload_cells payload))
+            (rows ()))
 
 (* Both rejoin flavors must converge back to the pre-crash fixpoint
    once anti-entropy runs dry: the content never changed, so the
@@ -296,6 +422,7 @@ let suite =
         test_persist_restore_roundtrip;
       Alcotest.test_case "corrupt stale image rejected" `Quick
         test_persist_rejects_corrupt;
+      QCheck_alcotest.to_alcotest prop_stale_image_fuzz;
       Alcotest.test_case "amnesiac rejoin converges" `Quick
         test_amnesiac_rejoin_converges;
       Alcotest.test_case "stale-state rejoin converges" `Quick
