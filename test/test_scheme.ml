@@ -517,6 +517,46 @@ let export_case =
         (String.concat "; " (List.map string_of_int except)))
     export_case_gen
 
+(* Reference goodness from the boxed row: [Estimator.goodness] of the
+   summary for CRI and ERI; for HRI and the hybrid, the per-slot
+   estimates discounted by [Cost_model.hop_count_goodness] (the tail
+   slot counts as hop [horizon + 1]). *)
+let ref_goodness t ~peer ~query =
+  match Scheme.row t ~peer with
+  | None -> 0.
+  | Some (Scheme.Vector s) -> Estimator.goodness s query
+  | Some (Scheme.Hop_vector r) ->
+      let fanout =
+        match Scheme.kind t with
+        | Scheme.Hri_kind { fanout; _ } | Scheme.Hybrid_kind { fanout; _ } ->
+            fanout
+        | Scheme.Cri_kind | Scheme.Eri_kind _ ->
+            invalid_arg "ref_goodness: hop row in a one-slot scheme"
+      in
+      Cost_model.hop_count_goodness (Cost_model.make ~fanout)
+        ~per_hop_goodness:(Array.map (fun s -> Estimator.goodness s query) r)
+
+(* [goodness] for peers 0-9 (rows and absent peers) and every value
+   [iter_goodness] reports, bit for bit against the reference; the
+   reported peers are exactly the ones with a row. *)
+let goodness_bits t =
+  List.for_all
+    (fun query ->
+      let reported = Hashtbl.create 16 in
+      Scheme.iter_goodness t ~query (fun p g -> Hashtbl.replace reported p g);
+      List.sort Int.compare (Hashtbl.fold (fun p _ acc -> p :: acc) reported [])
+      = Scheme.peers t
+      && List.for_all
+           (fun peer ->
+             let want = ref_goodness t ~peer ~query in
+             same_bits (Scheme.goodness t ~peer ~query) want
+             &&
+             match Hashtbl.find_opt reported peer with
+             | Some g -> same_bits g want
+             | None -> true)
+           (List.init 10 Fun.id))
+    [ []; [ 0 ]; [ 2 ]; [ 0; 1 ]; [ 1; 2; 0 ] ]
+
 let prop_exports_bits =
   QCheck.Test.make
     ~name:"export, export_all and export_except bits match the reference"
@@ -532,7 +572,8 @@ let prop_exports_bits =
              payload_bits
                (Scheme.export t ~exclude)
                (Ref_export.export t ~exclude))
-           (None :: List.init 10 Option.some))
+           (None :: List.init 10 Option.some)
+      && goodness_bits t)
 
 (* Allocation guard for the per-delivery kernels: after a warm-up call,
    1000 calls must allocate nothing of their own.  A kernel returning a
