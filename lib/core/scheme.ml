@@ -1,3 +1,4 @@
+open Ri_util
 open Ri_content
 
 type kind =
@@ -12,137 +13,327 @@ let kind_name = function
   | Eri_kind _ -> "ERI"
   | Hybrid_kind _ -> "HYB"
 
-let pp_kind ppf = function
-  | Cri_kind -> Format.pp_print_string ppf "CRI"
-  | Hri_kind { horizon; fanout } ->
-      Format.fprintf ppf "HRI(horizon=%d, F=%g)" horizon fanout
-  | Eri_kind { fanout } -> Format.fprintf ppf "ERI(F=%g)" fanout
-  | Hybrid_kind { horizon; fanout } ->
-      Format.fprintf ppf "HYB(horizon=%d, F=%g)" horizon fanout
-
 type payload = Vector of Summary.t | Hop_vector of Summary.t array
 
-type t = C of Cri.t | H of Hri.t | E of Eri.t
+(* Summaries per row: one for CRI and ERI, one per hop up to the horizon
+   for HRI, plus the beyond-horizon tail for the hybrid. *)
+let slots = function
+  | Cri_kind | Eri_kind _ -> 1
+  | Hri_kind { horizon; _ } -> horizon
+  | Hybrid_kind { horizon; _ } -> horizon + 1
 
-let create ?rows k ~width ~local =
-  match k with
-  | Cri_kind -> C (Cri.create ?rows ~width ~local ())
-  | Hri_kind { horizon; fanout } ->
-      H
-        (Hri.create ?rows ~horizon ~cost:(Cost_model.make ~fanout) ~width
-           ~local ())
-  | Hybrid_kind { horizon; fanout } ->
-      H
-        (Hri.create_hybrid ?rows ~horizon ~cost:(Cost_model.make ~fanout)
-           ~width ~local ())
-  | Eri_kind { fanout } -> E (Eri.create ?rows ~fanout ~width ~local ())
+(* Every kind keeps its peer rows in one flat {!Rowstore}: a row is
+   [slots kind] summaries back to back, each [total; by_topic...]
+   ([1 + width] floats), slot [h] at [off + h * (1 + width)].  [Summary.t]
+   stays the boundary type — construction, exports and tests speak
+   summaries — while aggregation and ranking run straight over the flat
+   array, in the row table's iteration order (the bit-identity contract,
+   see {!Rowstore}). *)
+type t = {
+  kind : kind;
+  width : int;
+  cost : Cost_model.t option;
+      (* HRI and the hybrid: the regular-tree discount their goodness
+         applies per hop slot *)
+  mutable local : Summary.t;
+  store : Rowstore.t;
+}
 
-let rowstore = function
-  | C c -> Cri.store c
-  | H h -> Hri.store h
-  | E e -> Eri.store e
+let check_width t s name =
+  if Summary.topics s <> t.width then
+    invalid_arg (Printf.sprintf "Scheme.%s: summary width mismatch" name)
 
-let kind = function
-  | C _ -> Cri_kind
-  | H h ->
-      let horizon = Hri.horizon h
-      and fanout = Cost_model.fanout (Hri.cost_model h) in
-      if Hri.has_tail h then Hybrid_kind { horizon; fanout }
-      else Hri_kind { horizon; fanout }
-  | E e -> Eri_kind { fanout = Eri.fanout e }
+let create ?rows kind ~width ~local =
+  if width <= 0 then invalid_arg "Scheme.create: width must be positive";
+  let cost =
+    match kind with
+    | Cri_kind -> None
+    | Eri_kind { fanout } ->
+        if not (fanout > 1.) then invalid_arg "Scheme.create: fanout must be > 1";
+        None
+    | Hri_kind { horizon; fanout } | Hybrid_kind { horizon; fanout } ->
+        if horizon <= 0 then invalid_arg "Scheme.create: horizon must be positive";
+        Some (Cost_model.make ~fanout)
+  in
+  let t =
+    {
+      kind;
+      width;
+      cost;
+      local;
+      store = Rowstore.create ?rows ~stride:(slots kind * (1 + width)) ();
+    }
+  in
+  check_width t local "create";
+  t
 
-let width = function
-  | C c -> Cri.width c
-  | H h -> Hri.width h
-  | E e -> Eri.width e
+let rowstore t = t.store
 
-let local = function
-  | C c -> Cri.local c
-  | H h -> Hri.local h
-  | E e -> Eri.local e
+let kind t = t.kind
 
-let copy = function
-  | C c -> C (Cri.copy c)
-  | H h -> H (Hri.copy h)
-  | E e -> E (Eri.copy e)
+let width t = t.width
+
+let local t = t.local
+
+(* Summaries are immutable once built ([set_local] replaces the field,
+   it never mutates the value), so the clone shares [local] and
+   deep-copies only the row store. *)
+let copy t = { t with store = Rowstore.copy t.store }
 
 let set_local t s =
-  match t with
-  | C c -> Cri.set_local c s
-  | H h -> Hri.set_local h s
-  | E e -> Eri.set_local e s
+  check_width t s "set_local";
+  t.local <- s
 
-let shape_error () =
-  invalid_arg "Scheme.set_row: payload shape does not match the scheme"
+let blit_summary (s : Summary.t) dst pos =
+  dst.(pos) <- s.Summary.total;
+  Array.blit s.Summary.by_topic 0 dst (pos + 1) (Array.length s.Summary.by_topic)
 
+let blit_payload payload dst pos =
+  match payload with
+  | Vector s -> blit_summary s dst pos
+  | Hop_vector r ->
+      for h = 0 to Array.length r - 1 do
+        blit_summary r.(h) dst (pos + (h * (1 + Summary.topics r.(h))))
+      done
+
+(* In-place install: no boxed row is retained, so a row update
+   allocates nothing beyond the payload the caller already holds. *)
 let set_row t ~peer payload =
-  match (t, payload) with
-  | C c, Vector s -> Cri.set_row c ~peer s
-  | H h, Hop_vector r -> Hri.set_row h ~peer r
-  | E e, Vector s -> Eri.set_row e ~peer s
-  | (C _ | E _), Hop_vector _ | H _, Vector _ -> shape_error ()
+  (match (t.kind, payload) with
+  | (Cri_kind | Eri_kind _), Vector s -> check_width t s "set_row"
+  | (Hri_kind _ | Hybrid_kind _), Hop_vector r ->
+      if Array.length r <> slots t.kind then
+        invalid_arg "Scheme.set_row: row length must equal the horizon";
+      Array.iter (fun s -> check_width t s "set_row") r
+  | (Cri_kind | Eri_kind _), Hop_vector _ | (Hri_kind _ | Hybrid_kind _), Vector _
+    ->
+      invalid_arg "Scheme.set_row: payload shape does not match the scheme");
+  (* [ensure] may grow the store, so the backing array is read after it. *)
+  let off = Rowstore.ensure t.store peer in
+  blit_payload payload (Rowstore.data t.store) off
+
+let slot_summary t d pos =
+  { Summary.total = d.(pos); by_topic = Array.sub d (pos + 1) t.width }
 
 let row t ~peer =
-  match t with
-  | C c -> Option.map (fun s -> Vector s) (Cri.row c ~peer)
-  | H h -> Option.map (fun r -> Hop_vector r) (Hri.row h ~peer)
-  | E e -> Option.map (fun s -> Vector s) (Eri.row e ~peer)
+  match Rowstore.find t.store peer with
+  | None -> None
+  | Some off -> (
+      let d = Rowstore.data t.store in
+      match t.kind with
+      | Cri_kind | Eri_kind _ -> Some (Vector (slot_summary t d off))
+      | Hri_kind _ | Hybrid_kind _ ->
+          let sw = 1 + t.width in
+          Some
+            (Hop_vector
+               (Array.init (slots t.kind) (fun h ->
+                    slot_summary t d (off + (h * sw))))))
 
-let remove_row t ~peer =
-  match t with
-  | C c -> Cri.remove_row c ~peer
-  | H h -> Hri.remove_row h ~peer
-  | E e -> Eri.remove_row e ~peer
+let remove_row t ~peer = Rowstore.remove t.store peer
 
-let stamp_row t ~peer wave =
-  match t with
-  | C c -> Cri.stamp_row c ~peer wave
-  | H h -> Hri.stamp_row h ~peer wave
-  | E e -> Eri.stamp_row e ~peer wave
+let stamp_row t ~peer wave = Rowstore.set_stamp t.store peer wave
 
-let row_stamp t ~peer =
-  match t with
-  | C c -> Cri.row_stamp c ~peer
-  | H h -> Hri.row_stamp h ~peer
-  | E e -> Eri.row_stamp e ~peer
+let row_stamp t ~peer = Rowstore.stamp t.store peer
 
-let peers = function
-  | C c -> Cri.peers c
-  | H h -> Hri.peers h
-  | E e -> Eri.peers e
+let peers t = Rowstore.peers t.store
 
+let peer_count t = Rowstore.count t.store
+
+(* {2 Export kernels}
+
+   Each export is an independent function of one shared aggregate, so
+   [export_except] skipping its [except] peers is bit-identical to
+   filtering after the fact.  Update waves call it twice per delivered
+   message (pre/post), always excluding the sender. *)
+
+(* [total] and [by_topic] plus slot 0 of every row, accumulated in
+   place straight off the flat store in row table order.  The running
+   total lives in a one-cell float array: a float ref captured by the
+   iteration closure would box on every add. *)
+let sum_rows t ~total by_topic =
+  let total = [| total |] in
+  let d = Rowstore.data t.store in
+  Rowstore.iter t.store (fun _ off ->
+      total.(0) <- total.(0) +. d.(off);
+      Vecf.add_slice ~dst:by_topic ~dst_pos:0 d ~src_pos:(off + 1) ~len:t.width);
+  { Summary.total = total.(0); by_topic }
+
+(* CRI (Section 4.2): aggregation "is done by adding all the vectors in
+   the RI", the local summary included. *)
+let cri_aggregate t =
+  sum_rows t ~total:t.local.Summary.total (Array.copy t.local.Summary.by_topic)
+
+(* An aggregate [s] minus the row slot at [pos], clamped: valid because
+   the slot is a term of the aggregate, so the difference is
+   non-negative up to float rounding.  Built without [Summary.make]'s
+   defensive copy/validate — this runs per peer per export. *)
+let minus_slot t (s : Summary.t) pos =
+  let by_topic = Array.copy s.Summary.by_topic in
+  let d = Rowstore.data t.store in
+  Vecf.sub_clamp_slice ~dst:by_topic ~dst_pos:0 d ~src_pos:(pos + 1) ~len:t.width;
+  let total = s.Summary.total -. d.(pos) in
+  { Summary.total = (if total > 0. then total else 0.); by_topic }
+
+(* ERI (Section 6.2): "adds up all rows (except the one associated with
+   the neighbor to which the update vector is sent), multiplies the
+   resulting vector by 1/F, and adds the goodness of the summary of its
+   local index".  [eri_finish t ~fanout rest] is local + rest/F, fused
+   into one pass: the intermediate summaries (minus, scale, add) would
+   triple the allocation. *)
+let eri_finish t ~fanout (rest : Summary.t) =
+  let k = 1. /. fanout in
+  let local = t.local in
+  let lbt = local.Summary.by_topic and rbt = rest.Summary.by_topic in
+  let by_topic = Array.make t.width 0. in
+  for i = 0 to t.width - 1 do
+    by_topic.(i) <- lbt.(i) +. (rbt.(i) *. k)
+  done;
+  { Summary.total = local.Summary.total +. (rest.Summary.total *. k); by_topic }
+
+(* local + (agg - row)/F in a single pass over the flat row. *)
+let eri_finish_without t ~fanout (agg : Summary.t) off =
+  let k = 1. /. fanout in
+  let local = t.local in
+  let lbt = local.Summary.by_topic and abt = agg.Summary.by_topic in
+  let by_topic = Array.make t.width 0. in
+  let d = Rowstore.data t.store in
+  for i = 0 to t.width - 1 do
+    let diff = abt.(i) -. d.(off + 1 + i) in
+    by_topic.(i) <- lbt.(i) +. ((if diff > 0. then diff else 0.) *. k)
+  done;
+  let dt = agg.Summary.total -. d.(off) in
+  {
+    Summary.total =
+      local.Summary.total +. ((if dt > 0. then dt else 0.) *. k);
+    by_topic;
+  }
+
+(* HRI (Section 6.1): "it shifts the columns to the right, so the
+   entries for 1 hop become the entries for 2 hops ... The entries in
+   the last column of the original RI are discarded and the summary of
+   the local index is placed as the first column".  The hybrid merges
+   that last column into its tail slot instead, so the compound-style
+   aggregate beyond the horizon stays complete.
+
+   [hri_aggregate t ~live] sums the first [live] columns of all rows
+   (the ones an export reads: [horizon - 1] for plain HRI, every
+   [horizon + 1] for the hybrid), one allocation per column instead of
+   one per (row, column).  The columns come back one hop outward, as an
+   export lays them out: slot 0 is the local summary and slot [h + 1]
+   is column [h]. *)
+let hri_aggregate t ~live =
+  let sw = 1 + t.width in
+  let totals = Array.make live 0. in
+  let by_topic = Array.init live (fun _ -> Array.make t.width 0.) in
+  let d = Rowstore.data t.store in
+  Rowstore.iter t.store (fun _ off ->
+      for h = 0 to live - 1 do
+        let pos = off + (h * sw) in
+        totals.(h) <- totals.(h) +. d.(pos);
+        Vecf.add_slice ~dst:by_topic.(h) ~dst_pos:0 d ~src_pos:(pos + 1)
+          ~len:t.width
+      done);
+  Array.init (live + 1) (fun h ->
+      if h = 0 then t.local
+      else { Summary.total = totals.(h - 1); by_topic = by_topic.(h - 1) })
+
+(* Shift the aggregate one hop outward: slot 0 is the local summary and
+   slot [h] is [column (h - 1)]. *)
+let shifted t ~horizon ~tail column =
+  if not tail then
+    Array.init horizon (fun h -> if h = 0 then t.local else column (h - 1))
+  else
+    Array.init (horizon + 1) (fun h ->
+        if h = 0 then t.local
+        else if h < horizon then column (h - 1)
+        else Summary.add (column (horizon - 1)) (column horizon))
+
+(* The export toward the peer whose row sits at [off]: each live
+   aggregate column minus that row's column, clamped, shifted. *)
+let hri_without t ~horizon ~tail agg off =
+  let sw = 1 + t.width in
+  shifted t ~horizon ~tail (fun h -> minus_slot t agg.(h + 1) (off + (h * sw)))
+
+(* Without an excluded row, plain HRI's export is the shifted aggregate
+   itself: its last column has already fallen off the horizon. *)
 let export t ~exclude =
-  match t with
-  | C c -> Vector (Cri.export c ~exclude)
-  | H h -> Hop_vector (Hri.export h ~exclude)
-  | E e -> Vector (Eri.export e ~exclude)
+  let row =
+    match exclude with None -> None | Some peer -> Rowstore.find t.store peer
+  in
+  match t.kind with
+  | Cri_kind -> (
+      let all = cri_aggregate t in
+      match row with None -> Vector all | Some off -> Vector (minus_slot t all off))
+  | Eri_kind { fanout } -> (
+      let agg = sum_rows t ~total:0. (Array.make t.width 0.) in
+      match row with
+      | None -> Vector (eri_finish t ~fanout agg)
+      | Some off -> Vector (eri_finish_without t ~fanout agg off))
+  | Hri_kind { horizon; _ } -> (
+      let agg = hri_aggregate t ~live:(horizon - 1) in
+      match row with
+      | None -> Hop_vector agg
+      | Some off -> Hop_vector (hri_without t ~horizon ~tail:false agg off))
+  | Hybrid_kind { horizon; _ } -> (
+      let agg = hri_aggregate t ~live:(horizon + 1) in
+      match row with
+      | None -> Hop_vector (shifted t ~horizon ~tail:true (fun h -> agg.(h + 1)))
+      | Some off -> Hop_vector (hri_without t ~horizon ~tail:true agg off))
 
-(* Each scheme wraps its exports into payloads as it builds them, so
-   the returned list is the only one allocated. *)
+(* Each export is wrapped into its payload as it is built, so the
+   returned list is the only one allocated. *)
 let export_except t ~except =
-  match t with
-  | C c -> Cri.export_except c ~except (fun p s -> (p, Vector s))
-  | H h -> Hri.export_except h ~except (fun p r -> (p, Hop_vector r))
-  | E e -> Eri.export_except e ~except (fun p s -> (p, Vector s))
+  match t.kind with
+  | Cri_kind ->
+      let all = cri_aggregate t in
+      Rowstore.map_sorted t.store ~except (fun p off ->
+          (p, Vector (minus_slot t all off)))
+  | Eri_kind { fanout } ->
+      let agg = sum_rows t ~total:0. (Array.make t.width 0.) in
+      Rowstore.map_sorted t.store ~except (fun p off ->
+          (p, Vector (eri_finish_without t ~fanout agg off)))
+  | Hri_kind { horizon; _ } ->
+      let agg = hri_aggregate t ~live:(horizon - 1) in
+      Rowstore.map_sorted t.store ~except (fun p off ->
+          (p, Hop_vector (hri_without t ~horizon ~tail:false agg off)))
+  | Hybrid_kind { horizon; _ } ->
+      let agg = hri_aggregate t ~live:(horizon + 1) in
+      Rowstore.map_sorted t.store ~except (fun p off ->
+          (p, Hop_vector (hri_without t ~horizon ~tail:true agg off)))
 
 let export_all t = export_except t ~except:[]
 
-let goodness t ~peer ~query =
-  match t with
-  | C c -> Cri.goodness c ~peer ~query
-  | H h -> Hri.goodness h ~peer ~query
-  | E e -> Eri.goodness e ~peer ~query
+(* HRI's goodness (Section 6.1), [Σ_j goodness(N[j], Q) / F^(j-1)] with
+   the hybrid's tail slot discounted as if everything in it were
+   [horizon + 1] hops away.  Per-hop goodness runs straight over the
+   flat row — no intermediate per-hop array — accumulating in the same
+   slot order as the boxed [Cost_model.hop_count_goodness]. *)
+let hop_goodness t cost d ~off query =
+  let sw = 1 + t.width in
+  let acc = ref 0. in
+  for h = 0 to slots t.kind - 1 do
+    let g = Estimator.goodness_flat d ~pos:(off + (h * sw)) ~width:t.width query in
+    acc := !acc +. (g *. Cost_model.discount cost ~hop:(h + 1))
+  done;
+  !acc
 
-let peer_count = function
-  | C c -> Cri.peer_count c
-  | H h -> Hri.peer_count h
-  | E e -> Eri.peer_count e
+let goodness t ~peer ~query =
+  match Rowstore.find t.store peer with
+  | None -> 0.
+  | Some off -> (
+      let d = Rowstore.data t.store in
+      match t.cost with
+      | None -> Estimator.goodness_flat d ~pos:off ~width:t.width query
+      | Some cost -> hop_goodness t cost d ~off query)
 
 let iter_goodness t ~query f =
-  match t with
-  | C c -> Cri.iter_goodness c ~query f
-  | H h -> Hri.iter_goodness h ~query f
-  | E e -> Eri.iter_goodness e ~query f
+  let d = Rowstore.data t.store in
+  match t.cost with
+  | None ->
+      Rowstore.iter t.store (fun p off ->
+          f p (Estimator.goodness_flat d ~pos:off ~width:t.width query))
+  | Some cost ->
+      Rowstore.iter t.store (fun p off -> f p (hop_goodness t cost d ~off query))
 
 (* Goodness descending, peer id ascending: a total order over distinct
    peers, so the ranking is independent of row iteration order. *)
@@ -181,10 +372,8 @@ let rank t ~query ~exclude =
 let payload_zero k ~width =
   match k with
   | Cri_kind | Eri_kind _ -> Vector (Summary.zero ~topics:width)
-  | Hri_kind { horizon; _ } ->
-      Hop_vector (Array.init horizon (fun _ -> Summary.zero ~topics:width))
-  | Hybrid_kind { horizon; _ } ->
-      Hop_vector (Array.init (horizon + 1) (fun _ -> Summary.zero ~topics:width))
+  | Hri_kind _ | Hybrid_kind _ ->
+      Hop_vector (Array.init (slots k) (fun _ -> Summary.zero ~topics:width))
 
 let payload_rel_diff a b =
   match (a, b) with
@@ -305,15 +494,8 @@ let payload_total = function
 let storage_entries k ~width ~neighbors =
   if width <= 0 || neighbors < 0 then
     invalid_arg "Scheme.storage_entries: bad dimensions";
-  let per_summary = 1 + width in
-  let slots =
-    match k with
-    | Cri_kind | Eri_kind _ -> 1
-    | Hri_kind { horizon; _ } -> horizon
-    | Hybrid_kind { horizon; _ } -> horizon + 1
-  in
   (* One local-summary row plus one row per neighbor. *)
-  (neighbors + 1) * slots * per_summary
+  (neighbors + 1) * slots k * (1 + width)
 
 (* The local summary row plus the peer-row store's allocated cells. *)
 let storage_bytes t =

@@ -1,12 +1,21 @@
-(** Scheme-polymorphic routing-index interface.
+(** Routing indices, all three kinds behind one record.
 
     The query-processing and update-propagation algorithms of Section 5
-    are identical across the three RI kinds; only the row representation,
-    the export (aggregation) rule and the goodness estimator differ.
-    This module erases the difference so the P2P layer is written once.
+    are identical across the RI kinds, and so is the index itself: per
+    neighbor, a row of topic summaries (Sections 4-6).  Only the export
+    (aggregation) rule and the goodness estimator differ, so this module
+    writes the row table once and the P2P layer is written once on top.
+
+    It owns the row layout.  One node's rows live in one flat
+    {!Rowstore}: a row is [slots] summaries back to back, each
+    [total; by_topic...] ([1 + width] floats), slot [h] at
+    [off + h * (1 + width)].  CRI and ERI rows have one slot, HRI rows
+    one per hop up to the horizon, and hybrid rows one more: the
+    aggregate of everything beyond the horizon.
 
     A {!payload} is what travels in a creation/update message: a plain
-    aggregate summary for CRI and ERI, a per-hop vector for HRI. *)
+    aggregate summary for CRI and ERI, a per-hop vector for HRI and the
+    hybrid.  {!blit_payload} lays a payload out as the row it becomes. *)
 
 type kind =
   | Cri_kind
@@ -15,8 +24,6 @@ type kind =
   | Hybrid_kind of { horizon : int; fanout : float }
       (** the hybrid CRI-HRI of Section 6.2: hop-count slots within the
           horizon plus a compound-style aggregate of everything beyond *)
-
-val pp_kind : Format.formatter -> kind -> unit
 
 val kind_name : kind -> string
 (** ["CRI"], ["HRI"], ["ERI"] or ["HYB"]. *)
@@ -30,8 +37,12 @@ type t
 
 val create :
   ?rows:int -> kind -> width:int -> local:Ri_content.Summary.t -> t
-(** [rows] pre-sizes the per-peer row store — pass the node's overlay
-    degree to avoid regrowth copies and slack slots. *)
+(** [width] is the topic-vector width (after any index compression).
+    [rows] pre-sizes the per-peer row store — pass the node's overlay
+    degree to avoid regrowth copies and slack slots.
+    @raise Invalid_argument unless [width > 0], an ERI's fanout exceeds
+    1, an HRI's or hybrid's horizon is positive (and its fanout exceeds
+    1, see {!Cost_model.make}) and the local summary's width matches. *)
 
 val rowstore : t -> Rowstore.t
 (** The underlying flat row store. *)
@@ -50,14 +61,27 @@ val copy : t -> t
     network be handed out as cheap per-trial copies. *)
 
 val set_local : t -> Ri_content.Summary.t -> unit
+(** @raise Invalid_argument if the summary's width differs. *)
 
 val set_row : t -> peer:int -> payload -> unit
-(** @raise Invalid_argument if the payload shape does not match the
-    scheme (e.g. a [Hop_vector] handed to a CRI). *)
+(** Install or replace the row for [peer].
+    @raise Invalid_argument if the payload shape does not match the
+    scheme (e.g. a [Hop_vector] handed to a CRI), a hop vector's length
+    is not the row's slot count, or a summary's width differs. *)
 
 val row : t -> peer:int -> payload option
+(** A fresh copy of the stored row, boxed out of the flat store —
+    mutating it never affects the index. *)
+
+val blit_payload : payload -> float array -> int -> unit
+(** [blit_payload p dst pos] writes [p] into [dst] from [pos] in the row
+    layout: [total; by_topic...] per summary, hop slots back to back —
+    what {!set_row} stores, for callers that stage rows in their own
+    flat arrays. *)
 
 val remove_row : t -> peer:int -> unit
+(** Forget a neighbor (e.g. on disconnection, Section 4.3).  No-op if
+    absent. *)
 
 val stamp_row : t -> peer:int -> int -> unit
 (** Record the logical update-wave id that last wrote the peer's row —
@@ -69,8 +93,15 @@ val row_stamp : t -> peer:int -> int
     network construction or absent peers. *)
 
 val peers : t -> int list
+(** Neighbors with a row, in increasing id order. *)
 
 val export : t -> exclude:int option -> payload
+(** The aggregated RI sent to a neighbor, every row but [exclude]'s
+    taking part.  CRI: the local summary plus the rows — in the paper's
+    Figure 5, A sends D the vector (1400, 50, 380, 10, 90).  ERI:
+    [local + rows / F].  HRI: slot 0 is the local summary and slot [h]
+    the rows' slot [h - 1]; the last slot falls off the horizon, or
+    joins the hybrid's tail. *)
 
 val export_all : t -> (int * payload) list
 (** One export per known peer, sharing one aggregation pass. *)
@@ -81,6 +112,11 @@ val export_except : t -> except:int list -> (int * payload) list
     {!export_all}. *)
 
 val goodness : t -> peer:int -> query:int list -> float
+(** {!Estimator.goodness} of the peer's row for CRI and ERI (for a
+    single-topic ERI query this is the stored entry, e.g. 16.33 for "DB"
+    through X in the paper's Figure 9); for HRI and the hybrid the
+    hop-discounted [goodness_hc] of {!Cost_model.hop_count_goodness},
+    the tail counting as hop [horizon + 1].  [0.] for an unknown peer. *)
 
 val peer_count : t -> int
 (** Number of peers with a row, without building the list. *)

@@ -317,20 +317,6 @@ let fill_non_tree_once t parent extra =
   in
   List.iter (fun (at, peer, payload) -> Scheme.set_row t.ris.(at) ~peer payload) pending
 
-let blit_summary (s : Summary.t) dst pos =
-  dst.(pos) <- s.Summary.total;
-  Array.blit s.Summary.by_topic 0 dst (pos + 1) (Array.length s.Summary.by_topic)
-
-(* A payload laid out as the row it becomes: [total; by_topic...] per
-   summary, hop slots back to back. *)
-let blit_payload payload dst pos =
-  match payload with
-  | Scheme.Vector s -> blit_summary s dst pos
-  | Scheme.Hop_vector r ->
-      for h = 0 to Array.length r - 1 do
-        blit_summary r.(h) dst (pos + (h * (1 + Summary.topics r.(h))))
-      done
-
 (* The paper simulator's construction (Appendix A): RI rows only for
    neighbors strictly further from the originator, each row aggregating
    the neighbor's entire downstream reach.  A node adjacent to two
@@ -382,7 +368,7 @@ let build_rooted t origin =
       if depth.(x) = deeper then
         Rowstore.load_row store ~peer:x reach ~pos:(x * stride)
     done;
-    blit_payload
+    Scheme.blit_payload
       (maybe_perturb t (Scheme.export scratch ~exclude:None))
       reach (v * stride)
   done;

@@ -6,6 +6,10 @@ open Ri_core
 
 let s total by = Summary.of_counts ~total ~by_topic:by
 
+let eri fanout = Scheme.Eri_kind { fanout }
+
+let vector = function Scheme.Vector v -> v | _ -> Alcotest.fail "expected a vector"
+
 (* Figure 8's locals: X, Y, Z and their leaf children (one child holds
    the whole hop-2 mass; siblings are empty). *)
 let local_x = s 60 [| 13; 2; 5; 10 |]
@@ -18,9 +22,9 @@ let kids_z = s 70 [| 10; 40; 20; 50 |]
 (* Build a mid node's ERI (fanout 3) from its local index and the
    aggregate of its leaf children, then export toward W. *)
 let export_toward_w local kids =
-  let t = Eri.create ~fanout:3. ~width:4 ~local () in
-  Eri.set_row t ~peer:100 kids;
-  Eri.export t ~exclude:None
+  let t = Scheme.create (eri 3.) ~width:4 ~local in
+  Scheme.set_row t ~peer:100 (Scheme.Vector kids);
+  vector (Scheme.export t ~exclude:None)
 
 let check_summary msg expected actual =
   Alcotest.(check (float 0.01)) (msg ^ " total") expected.Summary.total actual.Summary.total;
@@ -47,30 +51,34 @@ let test_figure9_rows () =
     (export_toward_w local_z kids_z)
 
 let test_figure9_goodness_ranking () =
-  let w = Eri.create ~fanout:3. ~width:4 ~local:(Summary.zero ~topics:4) () in
-  Eri.set_row w ~peer:1 (export_toward_w local_x kids_x);
-  Eri.set_row w ~peer:2 (export_toward_w local_y kids_y);
-  Eri.set_row w ~peer:3 (export_toward_w local_z kids_z);
-  Alcotest.(check (float 0.01)) "X db" 16.33 (Eri.goodness w ~peer:1 ~query:[ 0 ]);
-  Alcotest.(check (float 0.01)) "Y db" 10.33 (Eri.goodness w ~peer:2 ~query:[ 0 ]);
-  Alcotest.(check (float 0.01)) "Z networks" 13.33 (Eri.goodness w ~peer:3 ~query:[ 1 ]);
-  Alcotest.(check (float 1e-9)) "unknown peer" 0. (Eri.goodness w ~peer:9 ~query:[ 0 ])
+  let w = Scheme.create (eri 3.) ~width:4 ~local:(Summary.zero ~topics:4) in
+  Scheme.set_row w ~peer:1 (Scheme.Vector (export_toward_w local_x kids_x));
+  Scheme.set_row w ~peer:2 (Scheme.Vector (export_toward_w local_y kids_y));
+  Scheme.set_row w ~peer:3 (Scheme.Vector (export_toward_w local_z kids_z));
+  Alcotest.(check (float 0.01)) "X db" 16.33 (Scheme.goodness w ~peer:1 ~query:[ 0 ]);
+  Alcotest.(check (float 0.01)) "Y db" 10.33 (Scheme.goodness w ~peer:2 ~query:[ 0 ]);
+  Alcotest.(check (float 0.01)) "Z networks" 13.33
+    (Scheme.goodness w ~peer:3 ~query:[ 1 ]);
+  Alcotest.(check (float 1e-9)) "unknown peer" 0.
+    (Scheme.goodness w ~peer:9 ~query:[ 0 ])
 
 let test_validation () =
-  Alcotest.check_raises "fanout" (Invalid_argument "Eri.create: fanout must be > 1")
-    (fun () -> ignore (Eri.create ~fanout:1. ~width:4 ~local:(Summary.zero ~topics:4) ()));
+  Alcotest.check_raises "fanout" (Invalid_argument "Scheme.create: fanout must be > 1")
+    (fun () -> ignore (Scheme.create (eri 1.) ~width:4 ~local:(Summary.zero ~topics:4)));
   Alcotest.check_raises "width mismatch"
-    (Invalid_argument "Eri.create: summary width mismatch") (fun () ->
-      ignore (Eri.create ~fanout:3. ~width:2 ~local:(Summary.zero ~topics:4) ()))
+    (Invalid_argument "Scheme.create: summary width mismatch") (fun () ->
+      ignore (Scheme.create (eri 3.) ~width:2 ~local:(Summary.zero ~topics:4)))
 
 let test_export_formula () =
   (* export = local + (sum of rows except target) / F. *)
-  let t = Eri.create ~fanout:4. ~width:1 ~local:(Summary.make ~total:8. ~by_topic:[| 8. |]) () in
-  Eri.set_row t ~peer:1 (Summary.make ~total:12. ~by_topic:[| 12. |]);
-  Eri.set_row t ~peer:2 (Summary.make ~total:20. ~by_topic:[| 20. |]);
-  let to_peer1 = Eri.export t ~exclude:(Some 1) in
+  let t =
+    Scheme.create (eri 4.) ~width:1 ~local:(Summary.make ~total:8. ~by_topic:[| 8. |])
+  in
+  Scheme.set_row t ~peer:1 (Scheme.Vector (Summary.make ~total:12. ~by_topic:[| 12. |]));
+  Scheme.set_row t ~peer:2 (Scheme.Vector (Summary.make ~total:20. ~by_topic:[| 20. |]));
+  let to_peer1 = vector (Scheme.export t ~exclude:(Some 1)) in
   Alcotest.(check (float 1e-9)) "local + 20/4" 13. to_peer1.Summary.total;
-  let to_new = Eri.export t ~exclude:(Some 99) in
+  let to_new = vector (Scheme.export t ~exclude:(Some 99)) in
   Alcotest.(check (float 1e-9)) "local + 32/4" 16. to_new.Summary.total
 
 let test_decay_over_distance () =
@@ -80,35 +88,36 @@ let test_decay_over_distance () =
   let rec chain depth payload =
     if depth = 0 then payload
     else
-      let t = Eri.create ~fanout:4. ~width:1 ~local:(Summary.zero ~topics:1) () in
-      Eri.set_row t ~peer:0 payload;
-      chain (depth - 1) (Eri.export t ~exclude:None)
+      let t = Scheme.create (eri 4.) ~width:1 ~local:(Summary.zero ~topics:1) in
+      Scheme.set_row t ~peer:0 (Scheme.Vector payload);
+      chain (depth - 1) (vector (Scheme.export t ~exclude:None))
   in
   let after3 = chain 3 mass in
   Alcotest.(check (float 1e-9)) "64 / 4^3" 1. after3.Summary.total
 
 let test_export_all_pointwise () =
-  let t = Eri.create ~fanout:3. ~width:4 ~local:local_x () in
-  Eri.set_row t ~peer:1 kids_x;
-  Eri.set_row t ~peer:2 kids_y;
-  Eri.set_row t ~peer:3 kids_z;
+  let t = Scheme.create (eri 3.) ~width:4 ~local:local_x in
+  Scheme.set_row t ~peer:1 (Scheme.Vector kids_x);
+  Scheme.set_row t ~peer:2 (Scheme.Vector kids_y);
+  Scheme.set_row t ~peer:3 (Scheme.Vector kids_z);
   List.iter
     (fun (peer, batch) ->
       Alcotest.(check bool)
         (Printf.sprintf "peer %d" peer)
         true
-        (Summary.approx_equal ~eps:1e-6 batch (Eri.export t ~exclude:(Some peer))))
-    (Eri.export_all t)
+        (Summary.approx_equal ~eps:1e-6 (vector batch)
+           (vector (Scheme.export t ~exclude:(Some peer)))))
+    (Scheme.export_all t)
 
 let test_rows_crud () =
-  let t = Eri.create ~fanout:3. ~width:4 ~local:local_x () in
-  Eri.set_row t ~peer:7 kids_x;
-  Alcotest.(check (list int)) "peers" [ 7 ] (Eri.peers t);
-  Eri.remove_row t ~peer:7;
-  Alcotest.(check (list int)) "empty" [] (Eri.peers t);
-  Eri.set_local t local_y;
+  let t = Scheme.create (eri 3.) ~width:4 ~local:local_x in
+  Scheme.set_row t ~peer:7 (Scheme.Vector kids_x);
+  Alcotest.(check (list int)) "peers" [ 7 ] (Scheme.peers t);
+  Scheme.remove_row t ~peer:7;
+  Alcotest.(check (list int)) "empty" [] (Scheme.peers t);
+  Scheme.set_local t local_y;
   Alcotest.(check bool) "local swapped" true
-    (Summary.approx_equal (Eri.local t) local_y)
+    (Summary.approx_equal (Scheme.local t) local_y)
 
 let suite =
   ( "eri",

@@ -9,49 +9,55 @@ open Ri_p2p
 
 let s total by = Summary.of_counts ~total ~by_topic:by
 
-let cost3 = Cost_model.make ~fanout:3.
+let hri2 = Scheme.Hri_kind { horizon = 2; fanout = 3. }
+
+let hybrid2 = Scheme.Hybrid_kind { horizon = 2; fanout = 3. }
 
 (* ------------------------------------------------------------------ *)
 (* Hybrid CRI-HRI.                                                     *)
 
 let test_hybrid_row_shape () =
-  let t = Hri.create_hybrid ~horizon:2 ~cost:cost3 ~width:1 ~local:(s 5 [| 5 |]) () in
-  Alcotest.(check bool) "has tail" true (Hri.has_tail t);
-  Alcotest.(check int) "row length = horizon + 1" 3 (Hri.row_length t);
-  let plain = Hri.create ~horizon:2 ~cost:cost3 ~width:1 ~local:(s 5 [| 5 |]) () in
-  Alcotest.(check int) "plain row length" 2 (Hri.row_length plain)
+  (* Slots per row, read off the flat row layout. *)
+  let row_length t = Rowstore.stride (Scheme.rowstore t) / (1 + Scheme.width t) in
+  let t = Scheme.create hybrid2 ~width:1 ~local:(s 5 [| 5 |]) in
+  Alcotest.(check bool) "has tail" true (Scheme.kind t = hybrid2);
+  Alcotest.(check int) "row length = horizon + 1" 3 (row_length t);
+  let plain = Scheme.create hri2 ~width:1 ~local:(s 5 [| 5 |]) in
+  Alcotest.(check int) "plain row length" 2 (row_length plain)
 
 let test_hybrid_never_forgets () =
   (* Chain a - b - c - d with horizon 2: the plain HRI loses a's
      documents at d (3 hops), the hybrid keeps them in the tail. *)
-  let chain create =
+  let chain kind =
     let local = s 100 [| 100 |] in
     let zero = Summary.zero ~topics:1 in
-    let a = create ~horizon:2 ~cost:cost3 ~width:1 ~local () in
-    let b = create ~horizon:2 ~cost:cost3 ~width:1 ~local:zero () in
-    Hri.set_row b ~peer:0 (Hri.export a ~exclude:None);
-    let c = create ~horizon:2 ~cost:cost3 ~width:1 ~local:zero () in
-    Hri.set_row c ~peer:1 (Hri.export b ~exclude:None);
-    let d = create ~horizon:2 ~cost:cost3 ~width:1 ~local:zero () in
-    Hri.set_row d ~peer:2 (Hri.export c ~exclude:None);
-    Hri.goodness d ~peer:2 ~query:[ 0 ]
+    let a = Scheme.create kind ~width:1 ~local in
+    let b = Scheme.create kind ~width:1 ~local:zero in
+    Scheme.set_row b ~peer:0 (Scheme.export a ~exclude:None);
+    let c = Scheme.create kind ~width:1 ~local:zero in
+    Scheme.set_row c ~peer:1 (Scheme.export b ~exclude:None);
+    let d = Scheme.create kind ~width:1 ~local:zero in
+    Scheme.set_row d ~peer:2 (Scheme.export c ~exclude:None);
+    Scheme.goodness d ~peer:2 ~query:[ 0 ]
   in
-  Alcotest.(check (float 1e-9))
-    "plain HRI is blind" 0.
-    (chain (Hri.create ?rows:None));
+  Alcotest.(check (float 1e-9)) "plain HRI is blind" 0. (chain hri2);
   (* Hybrid: 100 docs in the tail, discounted at horizon+1 = 3 hops:
      100 / 3^2. *)
   Alcotest.(check (float 1e-6)) "hybrid sees the tail" (100. /. 9.)
-    (chain (Hri.create_hybrid ?rows:None))
+    (chain hybrid2)
 
 let test_hybrid_tail_accumulates () =
   (* The column crossing the horizon merges into the tail rather than
      replacing it. *)
   let local = s 10 [| 10 |] in
-  let t = Hri.create_hybrid ~horizon:2 ~cost:cost3 ~width:1 ~local () in
-  Hri.set_row t ~peer:0
-    [| s 1 [| 1 |]; s 2 [| 2 |]; s 40 [| 40 |] |];
-  let e = Hri.export t ~exclude:None in
+  let t = Scheme.create hybrid2 ~width:1 ~local in
+  Scheme.set_row t ~peer:0
+    (Scheme.Hop_vector [| s 1 [| 1 |]; s 2 [| 2 |]; s 40 [| 40 |] |]);
+  let e =
+    match Scheme.export t ~exclude:None with
+    | Scheme.Hop_vector e -> e
+    | Scheme.Vector _ -> Alcotest.fail "expected hops"
+  in
   Alcotest.(check (float 1e-9)) "slot0 local" 10. e.(0).Summary.total;
   Alcotest.(check (float 1e-9)) "slot1 = old hop1" 1. e.(1).Summary.total;
   Alcotest.(check (float 1e-9)) "tail = old hop2 + old tail" 42.

@@ -264,17 +264,19 @@ let local_summary =
 let summary_of_row row =
   Summary.make ~total:(Vecf.sum row) ~by_topic:(Array.copy row)
 
+let vector = function Scheme.Vector v -> v | _ -> Alcotest.fail "expected a vector"
+
 let replay_cri ops =
-  let flat = Cri.create ~width ~local:local_summary () in
+  let flat = Scheme.create Scheme.Cri_kind ~width ~local:local_summary in
   let reference = Ref_model.create ~width ~local:local_summary in
   List.iter
     (function
       | Set (peer, row) ->
           let s = summary_of_row row in
-          Cri.set_row flat ~peer s;
+          Scheme.set_row flat ~peer (Scheme.Vector s);
           Ref_model.set_row reference ~peer s
       | Remove peer ->
-          Cri.remove_row flat ~peer;
+          Scheme.remove_row flat ~peer;
           Ref_model.remove_row reference ~peer)
     ops;
   (flat, reference)
@@ -282,7 +284,7 @@ let replay_cri ops =
 let exports_match flat reference =
   List.for_all
     (fun exclude ->
-      let got = Cri.export flat ~exclude in
+      let got = vector (Scheme.export flat ~exclude) in
       let want = Ref_model.cri_export reference ~exclude in
       got.Summary.total = want.Summary.total
       && got.Summary.by_topic = want.Summary.by_topic)
@@ -298,49 +300,51 @@ let prop_eri_matches_reference =
   QCheck.Test.make ~name:"flat ERI = boxed reference (bit-exact)" ~count:200
     ops_arb (fun ops ->
       let fanout = 4. in
-      let flat = Eri.create ~fanout ~width ~local:local_summary () in
+      let flat =
+        Scheme.create (Scheme.Eri_kind { fanout }) ~width ~local:local_summary
+      in
       let reference = Ref_model.create ~width ~local:local_summary in
       List.iter
         (function
           | Set (peer, row) ->
               let s = summary_of_row row in
-              Eri.set_row flat ~peer s;
+              Scheme.set_row flat ~peer (Scheme.Vector s);
               Ref_model.set_row reference ~peer s
           | Remove peer ->
-              Eri.remove_row flat ~peer;
+              Scheme.remove_row flat ~peer;
               Ref_model.remove_row reference ~peer)
         ops;
       List.for_all
         (fun exclude ->
-          let got = Eri.export flat ~exclude in
+          let got = vector (Scheme.export flat ~exclude) in
           let want = Ref_model.eri_export reference ~fanout ~exclude in
           got.Summary.total = want.Summary.total
           && got.Summary.by_topic = want.Summary.by_topic)
         [ None; Some 0; Some 3; Some 6; Some 99 ])
 
 let prop_copy_matches_original =
-  QCheck.Test.make ~name:"Cri.copy exports = original (bit-exact)" ~count:100
+  QCheck.Test.make ~name:"CRI copy exports = original (bit-exact)" ~count:100
     ops_arb (fun ops ->
       let flat, reference = replay_cri ops in
-      let clone = Cri.copy flat in
+      let clone = Scheme.copy flat in
       (* the clone answers like the original... *)
       exports_match clone reference
       &&
       (* ...and diverges independently once mutated (insertion forces
          the copy-on-write peer table to materialise) *)
       let extra = summary_of_row [| 10.; 11.; 12.; 13.; 14. |] in
-      Cri.set_row clone ~peer:42 extra;
+      Scheme.set_row clone ~peer:42 (Scheme.Vector extra);
       Ref_model.set_row reference ~peer:42 extra;
       exports_match clone reference && exports_match flat reference = false
-      || Cri.row flat ~peer:42 = None)
+      || Scheme.row flat ~peer:42 = None)
 
 let test_row_roundtrip () =
-  let flat = Cri.create ~width ~local:local_summary () in
+  let flat = Scheme.create Scheme.Cri_kind ~width ~local:local_summary in
   let s = summary_of_row [| 1.; 2.; 3.; 4.; 5. |] in
-  Cri.set_row flat ~peer:2 s;
+  Scheme.set_row flat ~peer:2 (Scheme.Vector s);
   Alcotest.check summary_exact "row readback" s
-    (Option.get (Cri.row flat ~peer:2));
-  Alcotest.(check bool) "absent row" true (Cri.row flat ~peer:9 = None)
+    (vector (Option.get (Scheme.row flat ~peer:2)));
+  Alcotest.(check bool) "absent row" true (Scheme.row flat ~peer:9 = None)
 
 (* {2 Reset stores}
 
