@@ -117,9 +117,8 @@ let b_misses = ref 0
    is ~15MB while a 300-node one is trivial.  On overflow the table is
    reset wholesale — reuse distances within an experiment sweep are
    short, so the refill cost is one trial set.  Each table gets its own
-   budget; [RI_CACHE_WORDS] resizes it (the scale experiment's 100k-node
-   templates are ~8M words apiece). *)
-let budget_words = Env.int ~min:1 "RI_CACHE_WORDS" 32_000_000
+   budget of 32M words (a 100k-node network template is ~8M). *)
+let budget_words = 32_000_000
 
 let cache_enabled = ref (Env.int ~min:0 "RI_CACHE" 1 <> 0)
 

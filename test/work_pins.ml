@@ -13,8 +13,8 @@
    and `dune promote` records them.
 
    Each rep runs with no RI_* variable in its environment, as the
-   ledger's own reps do: knobs such as RI_CACHE_WORDS or RI_CACHE
-   change the work, and the caller's shell must not move the pins. *)
+   ledger's own reps do: knobs such as RI_CACHE change the work, and
+   the caller's shell must not move the pins. *)
 
 open Ri_util
 
