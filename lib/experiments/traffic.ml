@@ -358,13 +358,7 @@ let simulate (cfg : Config.t) ~opts ~qps ~trial =
       let ucounters = Message.create () in
       let waves = ref 0 in
       if opts.o_update_rate > 0. && Network.has_ri net then begin
-        let budget =
-          let degrees = ref 0 in
-          for v = 0 to n - 1 do
-            degrees := !degrees + Network.degree net v
-          done;
-          20 * (n + !degrees)
-        in
+        let budget = Update.default_budget net in
         let topic_totals = Array.make cfg.Config.topics 0. in
         for v = 0 to n - 1 do
           let s = Network.raw_local_summary net v in
@@ -377,15 +371,9 @@ let simulate (cfg : Config.t) ~opts ~qps ~trial =
             ~shift_every:opts.o_shift_every setup.Trial.universe
         in
         let start_wave origin topic =
-          let batch =
-            Float.max 1.
-              (Float.round (cfg.Config.update_fraction *. topic_totals.(topic)))
-          in
-          let base = Network.raw_local_summary net origin in
-          let by_topic = Array.copy base.Summary.by_topic in
-          by_topic.(topic) <- by_topic.(topic) +. batch;
           let summary =
-            Summary.make ~total:(base.Summary.total +. batch) ~by_topic
+            Trial.batch_summary cfg net ~origin ~topic
+              ~topic_total:topic_totals.(topic)
           in
           let reached = Bytes.make n '\000' in
           Bytes.set reached origin '\001';
@@ -419,11 +407,7 @@ let simulate (cfg : Config.t) ~opts ~qps ~trial =
               && !sent < budget
             then begin
               incr sent;
-              ucounters.Message.update_messages <-
-                ucounters.Message.update_messages + 1;
-              let bytes = Update.wire_cost seed in
-              ucounters.Message.update_wire_bytes <-
-                ucounters.Message.update_wire_bytes + bytes;
+              Update.charge ucounters seed;
               Engine.send eng ~dst:seed.Update.receiver (fun () -> deliver seed)
             end
           and deliver seed =

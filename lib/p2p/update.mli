@@ -141,10 +141,15 @@ val deliver_one :
     {!local_change} bit-for-bit (fault-free; the engine does not model
     the plan's round-delay machinery). *)
 
-val wire_cost : ?plan:Fault.t -> wave_seed -> int
-(** Simulated wire bytes of sending this seed (sparse delta vs dense
-    full encoding — see the module doc), for callers that charge
-    transport themselves. *)
+val charge : ?plan:Fault.t -> Message.counters -> wave_seed -> unit
+(** Count one sent update message in [counters], and its simulated wire
+    bytes (sparse delta vs dense full encoding — see the module doc):
+    the charge {!wave} makes for every fresh seed, for callers that run
+    their own transport. *)
+
+val default_budget : Network.t -> int
+(** [20 * (nodes + Σ degree)]: the message budget {!wave} applies when
+    given no [max_messages], for callers that run their own transport. *)
 
 val anti_entropy :
   ?on_event:(event -> unit) ->

@@ -574,16 +574,21 @@ type update_metrics = {
   update_wire_bytes : int;
 }
 
+let batch_summary (cfg : Config.t) net ~origin ~topic ~topic_total =
+  let batch = Float.max 1. (Float.round (cfg.update_fraction *. topic_total)) in
+  let base = Network.raw_local_summary net origin in
+  let by_topic = Array.copy base.Summary.by_topic in
+  by_topic.(topic) <- by_topic.(topic) +. batch;
+  Summary.make ~total:(base.Summary.total +. batch) ~by_topic
+
 let run_update_on ?on_event ?plan (cfg : Config.t) setup =
   let counters = Message.create () in
   (if Network.has_ri setup.network then begin
      (* One batch of document additions on a random topic at the origin
         ("client I introduces two new documents about languages",
-        Section 4.3 — batched per Section 4.3's batching remark).  The
-        batch is sized relative to the topic's network-wide count so it
-        clears the minUpdate significance floor near the origin. *)
+        Section 4.3 — batched per Section 4.3's batching remark). *)
      let topic = Prng.int setup.rng cfg.topics in
-     let network_topic_count =
+     let topic_total =
        let acc = ref 0. in
        for v = 0 to Network.size setup.network - 1 do
          acc :=
@@ -591,14 +596,8 @@ let run_update_on ?on_event ?plan (cfg : Config.t) setup =
        done;
        !acc
      in
-     let batch =
-       Float.max 1. (Float.round (cfg.update_fraction *. network_topic_count))
-     in
-     let base = Network.raw_local_summary setup.network setup.origin in
-     let by_topic = Array.copy base.Summary.by_topic in
-     by_topic.(topic) <- by_topic.(topic) +. batch;
      let summary =
-       Summary.make ~total:(base.Summary.total +. batch) ~by_topic
+       batch_summary cfg setup.network ~origin:setup.origin ~topic ~topic_total
      in
      Update.local_change ?on_event ?plan setup.network ~origin:setup.origin
        ~summary ~counters

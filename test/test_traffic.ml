@@ -298,10 +298,7 @@ let test_engine_wave_matches_sync () =
         && !sent < budget
       then begin
         incr sent;
-        counters2.Message.update_messages <-
-          counters2.Message.update_messages + 1;
-        counters2.Message.update_wire_bytes <-
-          counters2.Message.update_wire_bytes + Update.wire_cost seed;
+        Update.charge counters2 seed;
         Engine.send eng ~dst:seed.Update.receiver (fun () ->
             Update.deliver_one
               ~on_event:(fun e -> events2 := e :: !events2)
