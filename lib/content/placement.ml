@@ -100,5 +100,3 @@ let distribute rng ~universe ~n ~query_topics ~results ~distribution
   { matches; summaries; total_matches = results }
 
 let node_summary t v = t.summaries.(v)
-
-let matches_at t v = t.matches.(v)

@@ -52,5 +52,3 @@ val distribute :
     with shares outside (0, 1). *)
 
 val node_summary : t -> int -> Summary.t
-
-val matches_at : t -> int -> int

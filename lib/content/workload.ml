@@ -14,13 +14,6 @@ let single t ~stop = query ~topics:[ t ] ~stop
 let random_single rng universe ~stop =
   single (Prng.int rng (Topic.count universe)) ~stop
 
-let random_conjunction rng universe ~arity ~stop =
-  let c = Topic.count universe in
-  if arity <= 0 || arity > c then
-    invalid_arg "Workload.random_conjunction: bad arity";
-  let chosen = Sampling.choose_distinct rng ~k:arity ~n:c in
-  query ~topics:(Array.to_list chosen) ~stop
-
 module Zipf = struct
   type t = {
     universe : Topic.t;

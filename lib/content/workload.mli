@@ -18,10 +18,6 @@ val single : Topic.id -> stop:int -> query
 val random_single : Ri_util.Prng.t -> Topic.t -> stop:int -> query
 (** Query on one uniformly chosen topic. *)
 
-val random_conjunction :
-  Ri_util.Prng.t -> Topic.t -> arity:int -> stop:int -> query
-(** Query on [arity] distinct uniformly chosen topics. *)
-
 (** Skewed topic popularity for open-loop traffic.
 
     Real query streams are not uniform: a few topics draw most of the

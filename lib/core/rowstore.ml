@@ -77,8 +77,6 @@ let data t = t.cells
 
 let count t = Hashtbl.length t.index
 
-let mem t peer = Hashtbl.mem t.index peer
-
 let find t peer =
   match Hashtbl.find_opt t.index peer with
   | None -> None

@@ -37,8 +37,6 @@ module Progress = struct
 
   let set_trials n = Atomic.set trials_done n
 
-  let add_trials n = ignore (Atomic.fetch_and_add trials_done n)
-
   let json () =
     let t0 = Atomic.get started in
     let elapsed = if t0 > 0. then Unix.gettimeofday () -. t0 else 0. in

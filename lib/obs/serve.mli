@@ -22,8 +22,6 @@ module Progress : sig
   val set_trials : int -> unit
   (** Store the number of completed trials. *)
 
-  val add_trials : int -> unit
-
   val json : unit -> string
   (** [{"phase":..,"label":..,"trials_done":..,"trials_total":..,
       "elapsed_s":..,"eta_s":..,"sketches":{..}}] — [eta_s] is [null]

@@ -14,8 +14,6 @@ let m_converged =
   Metrics.counter ~help:"Data points stopped early by the CI rule."
     "ri_runner_converged_total"
 
-let default_spec = { min_trials = 5; max_trials = 30; target_rel_error = 0.1 }
-
 (* Trials run in waves so the adaptive stopping rule stays deterministic
    under parallel execution: the first wave is [min_trials], every later
    wave is a fixed-size batch, and convergence is only checked at wave

@@ -22,9 +22,6 @@ type spec = {
   target_rel_error : float;  (** CI half-width over mean, e.g. 0.1 *)
 }
 
-val default_spec : spec
-(** 5 to 30 trials, 10% target relative error. *)
-
 val run : ?pool:Ri_util.Pool.t -> spec -> (trial:int -> float) -> Ri_util.Stats.summary
 (** Call the trial function with [trial = 0, 1, ...] in waves until the
     95% CI is within the target relative error (and [min_trials]
