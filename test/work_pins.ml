@@ -6,11 +6,13 @@
    runs [LEDGER rep --workload W --scale smoke --trace 1 --spawned-at 0]
    for each of the ledger's four workloads (seed 42, pool width 1) and
    prints the pins it measured, in GOLDEN's format, on stdout.  The
-   counts the ledger marks (=) must equal their pin; the per-layer minor
-   words must stay within 1% of theirs.  A value that holds prints as
-   its pin, one that moved prints as measured and is named on stderr, so
-   the dune rule's diff against GOLDEN fails on exactly the moved lines
-   and `dune promote` records them.
+   counts the ledger marks (=) and the topology, RI-build and query
+   minor words, which repeat to the word for a seed, must equal their
+   pin.  The unit-wide gc.minor_mwords moves by a few hundred words
+   between runs, so it must only stay within 1% of its pin.  A value
+   that holds prints as its pin, one that moved prints as measured and
+   is named on stderr, so the dune rule's diff against GOLDEN fails on
+   exactly the moved lines and `dune promote` records them.
 
    Each rep runs with no RI_* variable in its environment, as the
    ledger's own reps do: knobs such as RI_CACHE change the work, and
@@ -43,10 +45,11 @@ let keys =
       "engine.queue_mean";
       "runner.trials";
       "runner.units";
+      "topology.minor_mwords";
+      "ri_build.minor_mwords";
+      "query.minor_mwords";
     ]
-  @ List.map
-      (fun k -> (k, Within_1pct))
-      [ "topology.minor_mwords"; "ri_build.minor_mwords"; "query.minor_mwords"; "gc.minor_mwords" ]
+  @ [ ("gc.minor_mwords", Within_1pct) ]
 
 let mark = function Exact -> "=" | Within_1pct -> "~"
 
@@ -121,7 +124,7 @@ let () =
   print_string
     "# Work pins: the ledger's deterministic counts at smoke scale, seed 42,\n\
      # pool width 1, checked by test/work_pins.ml on every `dune runtest`.\n\
-     # \"=\" must match exactly; \"~\" (minor words) must stay within 1%.\n\
+     # \"=\" must match exactly; \"~\" (gc.minor_mwords) must stay within 1%.\n\
      # After a change that moves work on purpose: dune runtest; dune promote.\n";
   List.iter
     (fun w ->
