@@ -36,6 +36,7 @@ let () =
       Test_provenance.suite;
       Test_sim.suite;
       Test_traffic.suite;
+      Test_growth.suite;
       Test_experiments.suite;
       Test_extensions.suite;
       Test_invariants.suite;

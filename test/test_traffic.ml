@@ -114,20 +114,6 @@ let test_link_latency () =
   Alcotest.(check (list int)) "100 ns per hop" [ 0; 100; 200 ]
     (List.rev !hops)
 
-(* Words [f] allocates: minor words plus the words it allocates
-   directly in the major heap (blocks too large for the minor heap).
-   Minor words come from [Gc.minor_words], which is exact between
-   collections; [Gc.counters] undercounts them. *)
-let words_allocated f =
-  let direct () =
-    let _, promoted, major = Gc.counters () in
-    major -. promoted
-  in
-  let minor0 = Gc.minor_words () and direct0 = direct () in
-  f ();
-  let direct1 = direct () in
-  Gc.minor_words () -. minor0 +. (direct1 -. direct0)
-
 (* Once a warm-up has grown the heap, a mailbox delivery allocates
    nothing in the engine: a 10,000-hop inject/send chain whose hops all
    reuse one preallocated handler allocates 0 words per delivery. *)
@@ -148,7 +134,7 @@ let test_delivery_allocates_nothing () =
   in
   chain ();
   let before = Engine.processed eng in
-  let words = words_allocated chain in
+  let words = Alloc.words_allocated chain in
   let deliveries = Engine.processed eng - before in
   Alcotest.(check int) "one delivery per hop" hops deliveries;
   Alcotest.(check bool)
@@ -172,7 +158,7 @@ let test_step_start_allocation () =
          ~query:setup.Trial.query ~forwarding:Query.Ri_guided)
   in
   start ();
-  let words = words_allocated start in
+  let words = Alloc.words_allocated start in
   Alcotest.(check bool)
     (Printf.sprintf "%.0f words for %d nodes" words n)
     true
