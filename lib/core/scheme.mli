@@ -185,8 +185,8 @@ val storage_bytes : t -> int
 (** Bytes this node's index has actually allocated for summaries: the
     local row plus the flat row store's capacity, 8 bytes per float
     slot.  Unlike {!storage_entries} (the paper's analytical formula) this
-    reflects the live data structure, including growth slack — the
-    scale experiment's RI-bytes-per-node metric. *)
+    reflects the live data structure, including growth slack, and is
+    what {!Ri_p2p.Network.storage_words} counts. *)
 
 val payload_perturb :
   Ri_util.Prng.t ->

@@ -17,7 +17,7 @@ module Progress : sig
       the label is kept unless a new one is given. *)
 
   val set_label : string -> unit
-  (** Name the current sweep point (e.g. ["scale n=10000"]). *)
+  (** Name the current sweep point (e.g. ["fig13"] or ["traffic qps=2000"]). *)
 
   val set_trials : int -> unit
   (** Store the number of completed trials. *)
