@@ -110,8 +110,17 @@ let topology_name = function
   | Tree_with_cycles _ -> "Tree+Cycle"
   | Power_law_graph -> "Powerlaw"
 
+(* An n-node tree leaves (n-1)(n-2)/2 pairs unlinked, and
+   [Cycle_gen.add_random_links] can close no more cycles than that. *)
+let absent_pairs n = (n - 1) * (n - 2) / 2
+
 let validate t =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
+  let extra_links =
+    match t.topology with
+    | Tree_with_cycles { extra_links } -> extra_links
+    | Tree | Power_law_graph -> 0
+  in
   if t.num_nodes < 2 then err "num_nodes must be at least 2"
   else if t.fanout < 1 then err "fanout must be at least 1"
   else if t.topics < 1 then err "topics must be at least 1"
@@ -124,6 +133,9 @@ let validate t =
   else if t.min_update < 0. then err "min_update must be non-negative"
   else if t.update_distance_floor < 0. then
     err "update_distance_floor must be non-negative"
+  else if extra_links < 0 || extra_links > absent_pairs t.num_nodes then
+    err "extra_links must be between 0 and %d, the absent pairs of a %d-node tree, got %d"
+      (absent_pairs t.num_nodes) t.num_nodes extra_links
   else
     match Fault.validate t.fault with
     | Error msg -> err "fault spec: %s" msg

@@ -120,6 +120,8 @@ val search_name : search -> string
 val topology_name : topology -> string
 
 val validate : t -> (unit, string) result
-(** Static sanity checks, including the CRI/no-op/cycles exclusion. *)
+(** Static sanity checks, including the CRI/no-op/cycles exclusion and
+    a cycle-link count the tree cannot hold: [extra_links] must lie in
+    [0, (n-1)(n-2)/2], the pairs an [n]-node tree leaves unlinked. *)
 
 val pp : Format.formatter -> t -> unit

@@ -49,7 +49,16 @@ let test_validate () =
       Config.search = Config.Ri Config.cri;
       topology = Config.Tree_with_cycles { extra_links = 5 };
       cycle_policy = Ri_p2p.Network.No_op;
-    }
+    };
+  (* A 5-node tree leaves 6 pairs unlinked. *)
+  let five links =
+    Config.with_topology
+      (Config.scaled Config.base ~num_nodes:5)
+      (Config.Tree_with_cycles { extra_links = links })
+  in
+  Alcotest.(check bool) "6 links fit 5 nodes" true (Config.validate (five 6) = Ok ());
+  check_err (five 7);
+  check_err (five (-1))
 
 let test_names () =
   Alcotest.(check string) "no-ri" "No-RI" (Config.search_name Config.No_ri);
@@ -112,6 +121,84 @@ let test_invalid_config_raises () =
        false
      with Invalid_argument _ -> true)
 
+(* Every small configuration [Config.validate] accepts runs a query and
+   an update trial; every one it refuses fails in [Trial.build] with the
+   refusal itself, before any generator can raise.
+
+   An n-node tree has (n-1)(n-2)/2 absent pairs, and the refused link
+   counts reach that capacity + 3 at every n.  The accepted ones stop at
+   n, or at the capacity itself up to 8 nodes: without cycle detection
+   an HRI wave floods every path up to its horizon, and its cost climbs
+   with density (11,520 messages and a 663 MB heap on a complete 24-node
+   graph). *)
+let config_gen =
+  let open QCheck.Gen in
+  let* n = int_range 2 64 in
+  let absent = (n - 1) * (n - 2) / 2 in
+  let* topology =
+    oneof
+      [
+        return Config.Tree;
+        map
+          (fun extra_links -> Config.Tree_with_cycles { extra_links })
+          (oneof
+             [
+               int_range (-1) (min (absent + 3) n);
+               oneofl ((if n <= 8 then [ absent ] else []) @ [ absent + 1; absent + 3 ]);
+             ]);
+        return Config.Power_law_graph;
+      ]
+  in
+  let* stop_condition = int_range 0 12 in
+  let* horizon = int_range 0 6 in
+  let* compression_ratio = oneofl [ 0.; 0.3; 0.6; 0.9 ] in
+  let* cycle_policy = oneofl [ Ri_p2p.Network.No_op; Ri_p2p.Network.Detect_recover ] in
+  let* seed = int_range 0 999 in
+  let cfg =
+    {
+      (Config.scaled Config.base ~num_nodes:n) with
+      Config.topology;
+      stop_condition;
+      horizon;
+      compression_ratio;
+      cycle_policy;
+      seed;
+    }
+  in
+  let+ search =
+    oneofl
+      [
+        Config.Ri Config.cri;
+        Config.Ri (Config.hri cfg);
+        Config.Ri (Config.eri cfg);
+        Config.Ri (Config.hybrid cfg);
+        Config.No_ri;
+        Config.Flooding { ttl = None };
+      ]
+  in
+  Config.with_search cfg search
+
+let show_config cfg =
+  Format.asprintf "%a%s" Config.pp cfg
+    (match cfg.Config.topology with
+    | Config.Tree_with_cycles { extra_links } -> Printf.sprintf " EL=%d" extra_links
+    | Config.Tree | Config.Power_law_graph -> "")
+
+let prop_valid_configs_run =
+  QCheck.Test.make ~name:"a valid config runs; a refused one fails validation"
+    ~count:1000
+    (QCheck.make ~print:show_config config_gen)
+    (fun cfg ->
+      match Config.validate cfg with
+      | Ok () ->
+          ignore (Trial.run_query cfg ~trial:0);
+          ignore (Trial.run_update cfg ~trial:0);
+          true
+      | Error msg -> (
+          match Trial.build cfg ~trial:0 with
+          | _ -> false
+          | exception Invalid_argument raised -> raised = "Trial.build: " ^ msg))
+
 let test_runner_stops_on_convergence () =
   let calls = ref 0 in
   let spec = { Runner.min_trials = 3; max_trials = 50; target_rel_error = 0.1 } in
@@ -156,6 +243,7 @@ let suite =
       Alcotest.test_case "flooding finds all" `Quick test_flooding_finds_all_results;
       Alcotest.test_case "no-RI update trial" `Quick test_update_trial_no_ri;
       Alcotest.test_case "invalid config raises" `Quick test_invalid_config_raises;
+      QCheck_alcotest.to_alcotest prop_valid_configs_run;
       Alcotest.test_case "runner convergence" `Quick test_runner_stops_on_convergence;
       Alcotest.test_case "runner max trials" `Quick test_runner_respects_max_trials;
       Alcotest.test_case "runner validation" `Quick test_runner_validation;
