@@ -100,3 +100,27 @@ let distribute rng ~universe ~n ~query_topics ~results ~distribution
   { matches; summaries; total_matches = results }
 
 let node_summary t v = t.summaries.(v)
+
+(* Matching documents carry exactly the query topics, so moving [k] of
+   them shifts a summary by [k] on the total and on each query topic,
+   clamped at 0 against float fuzz. *)
+let move t ~topics ~donor ~recipient k =
+  if k < 0 || k > t.matches.(donor) then
+    invalid_arg "Placement.move: k outside [0, donor's matches]";
+  let shift v delta =
+    let s = t.summaries.(v) in
+    let by_topic = Array.copy s.Summary.by_topic in
+    List.iter
+      (fun tp -> by_topic.(tp) <- Float.max 0. (by_topic.(tp) +. delta))
+      topics;
+    let s' =
+      Summary.make ~total:(Float.max 0. (s.Summary.total +. delta)) ~by_topic
+    in
+    t.summaries.(v) <- s';
+    s'
+  in
+  t.matches.(donor) <- t.matches.(donor) - k;
+  t.matches.(recipient) <- t.matches.(recipient) + k;
+  let d = float_of_int k in
+  let donor_summary = shift donor (-.d) in
+  (donor_summary, shift recipient d)

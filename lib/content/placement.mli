@@ -52,3 +52,14 @@ val distribute :
     with shares outside (0, 1). *)
 
 val node_summary : t -> int -> Summary.t
+
+val move :
+  t -> topics:Topic.id list -> donor:int -> recipient:int -> int ->
+  Summary.t * Summary.t
+(** [move t ~topics ~donor ~recipient k] moves [k] matching documents
+    (each carrying exactly the query [topics]) from [donor] to
+    [recipient] in place: [matches] shifts by [k], and each node's
+    summary by [k] on its total and on every query topic, clamped at 0.
+    Returns the donor's and the recipient's new summaries, for the
+    update waves that announce the move.  [total_matches] is unchanged.
+    @raise Invalid_argument unless [0 <= k <= matches.(donor)]. *)

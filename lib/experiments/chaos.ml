@@ -94,24 +94,6 @@ let pick rng n ok =
   done;
   !found
 
-(* A content move applied identically to both worlds: [delta] matching
-   documents leave [donor] for [recipient], shifting each query topic
-   of both placements' summaries.  The announcement waves differ — the
-   chaos network's run through the plan — but the world does not. *)
-let apply_move (p : Placement.t) ~topics v delta =
-  let s = p.Placement.summaries.(v) in
-  let by_topic = Array.copy s.Summary.by_topic in
-  List.iter
-    (fun t -> by_topic.(t) <- Float.max 0. (by_topic.(t) +. delta))
-    topics;
-  let s' =
-    Summary.make ~total:(Float.max 0. (s.Summary.total +. delta)) ~by_topic
-  in
-  p.Placement.summaries.(v) <- s';
-  p.Placement.matches.(v) <-
-    max 0 (p.Placement.matches.(v) + int_of_float delta);
-  s'
-
 let ae_round_cap = 64
 
 let run_schedule ~nodes ~steps ~seed ~sabotage schedule =
@@ -238,11 +220,12 @@ let run_schedule ~nodes ~steps ~seed ~sabotage schedule =
               faulty.Trial.placement.Placement.matches.(donor)
               (1 + Prng.int rng 3)
           in
-          let d = float_of_int take in
-          let fd = apply_move faulty.Trial.placement ~topics donor (-.d) in
-          let fr = apply_move faulty.Trial.placement ~topics recipient d in
-          let cd = apply_move clean.Trial.placement ~topics donor (-.d) in
-          let cr = apply_move clean.Trial.placement ~topics recipient d in
+          (* The same move in both worlds.  The announcement waves
+             differ — the chaos network's run through the plan — but
+             the world does not. *)
+          let move p = Placement.move p ~topics ~donor ~recipient take in
+          let fd, fr = move faulty.Trial.placement in
+          let cd, cr = move clean.Trial.placement in
           Update.local_change ~plan faulty.Trial.network ~origin:donor
             ~summary:fd ~counters;
           Update.local_change ~plan faulty.Trial.network ~origin:recipient

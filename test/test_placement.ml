@@ -98,6 +98,46 @@ let test_determinism () =
   Alcotest.(check bool) "same seed same placement" true
     (a.Placement.matches = b.Placement.matches)
 
+(* A move shifts [matches] and both summaries by k on the total and
+   on every query topic, and leaves the other topics and nodes alone. *)
+let test_move () =
+  let p = distribute ~query:[ 0; 3 ] () in
+  let donor =
+    let v = ref 0 in
+    while p.Placement.matches.(!v) < 2 do incr v done;
+    !v
+  in
+  let recipient = if donor = 0 then 1 else 0 in
+  let before = Array.copy p.Placement.summaries in
+  let m_donor = p.Placement.matches.(donor)
+  and m_recipient = p.Placement.matches.(recipient) in
+  let sd, sr = Placement.move p ~topics:[ 0; 3 ] ~donor ~recipient 2 in
+  Alcotest.(check int) "donor matches" (m_donor - 2) p.Placement.matches.(donor);
+  Alcotest.(check int) "recipient matches" (m_recipient + 2)
+    p.Placement.matches.(recipient);
+  Alcotest.(check bool) "returned summaries stored" true
+    (p.Placement.summaries.(donor) == sd && p.Placement.summaries.(recipient) == sr);
+  let shifted v delta (s : Summary.t) =
+    let b = before.(v) in
+    Alcotest.(check (float 0.)) "total" (b.Summary.total +. delta) s.Summary.total;
+    Array.iteri
+      (fun t x ->
+        let moved = if t = 0 || t = 3 then delta else 0. in
+        Alcotest.(check (float 0.))
+          (Printf.sprintf "node %d topic %d" v t)
+          (x +. moved) s.Summary.by_topic.(t))
+      b.Summary.by_topic
+  in
+  shifted donor (-2.) sd;
+  shifted recipient 2. sr;
+  Alcotest.(check int) "total_matches kept" 100 p.Placement.total_matches;
+  Alcotest.check_raises "more than the donor holds"
+    (Invalid_argument "Placement.move: k outside [0, donor's matches]")
+    (fun () ->
+      ignore
+        (Placement.move p ~topics:[ 0; 3 ] ~donor ~recipient
+           (p.Placement.matches.(donor) + 1)))
+
 (* The background pass draws every node's documents from the one
    stream at every size, so the layout depends only on [n] and the seed:
    not on the global pool's width, nor on whether the call runs inside
@@ -147,6 +187,7 @@ let suite =
       Alcotest.test_case "multi-topic ground truth" `Quick test_multi_topic_query_ground_truth;
       Alcotest.test_case "validation" `Quick test_validation;
       Alcotest.test_case "determinism" `Quick test_determinism;
+      Alcotest.test_case "move" `Quick test_move;
       Alcotest.test_case "layout invariant under pool width and nesting" `Quick
         test_layout_invariant_under_pool;
       QCheck_alcotest.to_alcotest prop_matches_nonnegative_and_conserved;
