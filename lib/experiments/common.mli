@@ -5,7 +5,8 @@ val query_messages :
   spec:Ri_sim.Runner.spec ->
   Ri_util.Stats.summary
 (** Mean query-processing messages over trials, run to the confidence
-    target.  Trials execute on the global [RI_JOBS] pool. *)
+    target.  Trials execute on the global pool
+    ({!Ri_util.Pool.global}). *)
 
 val update_messages :
   Ri_sim.Config.t ->

@@ -117,9 +117,9 @@ type point = {
 }
 
 (* Observability wiring: the latency distribution and injection totals
-   land in the global registries next to the per-query cost sketches. *)
+   land in the metrics registry next to the per-query cost summaries. *)
 let s_latency =
-  Sketch.series ~help:"Open-loop query latency (milliseconds, quantile sketch)."
+  Metrics.summary ~help:"Open-loop query latency (milliseconds, quantile sketch)."
     "ri_traffic_latency_ms"
 
 let m_arrivals =
@@ -318,7 +318,7 @@ let simulate (cfg : Config.t) ~opts ~qps ~trial =
                     | None -> ());
                     let ms = 1000. *. Engine.to_seconds total_ns in
                     Sketch.add sketch ms;
-                    Sketch.observe s_latency ms;
+                    Metrics.observe s_latency ms;
                     (match root with
                     | Some root ->
                         Span.point sink ~cat:"traffic" "complete"

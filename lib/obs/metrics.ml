@@ -1,24 +1,24 @@
-open Ri_util
-
 (* Registration is always live (it happens once, at module-init time, in
    the instrumented libraries); only *recording* is gated.  The gate is
    one atomic load and a branch, so instrumented hot paths cost nothing
-   measurable when observability is off — the RI_OBS=0 contract. *)
-let enabled_flag = Atomic.make (Env.bool "RI_OBS" false)
+   measurable when observability is off, as it is until someone calls
+   [set_enabled true]. *)
+let enabled_flag = Atomic.make false
 
 let enabled () = Atomic.get enabled_flag
 
 let set_enabled b = Atomic.set enabled_flag b
 
-(* Values are atomics so worker domains record without taking the
-   registry lock; the lock only guards registration and enumeration. *)
-type hist = {
-  bounds : float array;  (* strictly increasing upper bounds; +inf implicit *)
-  buckets : int Atomic.t array;  (* length = Array.length bounds + 1 *)
-  h_sum : float Atomic.t;
-}
+(* Counters and gauges are atomics so worker domains record without
+   taking the registry lock; the lock only guards registration and
+   enumeration.  A summary's sketch is a mutable structure, so each
+   summary has its own mutex: observations from different domains
+   serialize per series, and because everything a sketch accumulates
+   commutes (see Sketch), the state, and hence the rendered bytes, do
+   not depend on arrival order. *)
+type sketch = { s_lock : Mutex.t; s_sketch : Sketch.t }
 
-type data = C of int Atomic.t | G of float Atomic.t | H of hist
+type data = C of int Atomic.t | G of float Atomic.t | S of sketch
 
 type metric = {
   name : string;
@@ -31,14 +31,14 @@ type counter = metric
 
 type gauge = metric
 
-type histogram = metric
+type summary = metric
 
 let lock = Mutex.create ()
 
 let registry : (string * (string * string) list, metric) Hashtbl.t =
   Hashtbl.create 64
 
-let kind_name = function C _ -> "counter" | G _ -> "gauge" | H _ -> "histogram"
+let kind_name = function C _ -> "counter" | G _ -> "gauge" | S _ -> "summary"
 
 let register ?(help = "") ?(labels = []) name data =
   let labels = List.sort compare labels in
@@ -66,90 +66,42 @@ let counter ?help ?labels name = register ?help ?labels name (C (Atomic.make 0))
 
 let gauge ?help ?labels name = register ?help ?labels name (G (Atomic.make 0.))
 
-let default_buckets =
-  [| 1e-5; 3e-5; 1e-4; 3e-4; 1e-3; 3e-3; 0.01; 0.03; 0.1; 0.3; 1.; 3.; 10. |]
-
-(* Microsecond-range preset for per-trial hot-path phases: the prebuilt
-   query path runs in ~80us, which the default 10us..10s grid collapses
-   into two buckets.  2.5x steps from 1us to 10ms keep the ~µs regime
-   resolved while the tail still catches a degenerate slow phase. *)
-let micro_buckets =
-  [|
-    1e-6; 2.5e-6; 5e-6; 1e-5; 2.5e-5; 5e-5; 1e-4; 2.5e-4; 5e-4; 1e-3;
-    2.5e-3; 5e-3; 0.01; 0.1;
-  |]
-
-let histogram ?help ?labels ?(buckets = default_buckets) name =
-  Array.iteri
-    (fun i b ->
-      if i > 0 && b <= buckets.(i - 1) then
-        invalid_arg "Metrics.histogram: buckets must be strictly increasing")
-    buckets;
+let summary ?help ?labels name =
   register ?help ?labels name
-    (H
-       {
-         bounds = Array.copy buckets;
-         buckets = Array.init (Array.length buckets + 1) (fun _ -> Atomic.make 0);
-         h_sum = Atomic.make 0.;
-       })
-
-let rec atomic_add_float a x =
-  let old = Atomic.get a in
-  if not (Atomic.compare_and_set a old (old +. x)) then atomic_add_float a x
+    (S { s_lock = Mutex.create (); s_sketch = Sketch.create () })
 
 let add c n =
   if Atomic.get enabled_flag then
     match c.data with
     | C v -> ignore (Atomic.fetch_and_add v n)
-    | G _ | H _ -> assert false
+    | G _ | S _ -> assert false
 
 let incr c = add c 1
 
 let set g x =
   if Atomic.get enabled_flag then
-    match g.data with G v -> Atomic.set v x | C _ | H _ -> assert false
+    match g.data with G v -> Atomic.set v x | C _ | S _ -> assert false
 
-let bucket_index bounds x =
-  (* Linear scan: bucket arrays are small and fixed. *)
-  let n = Array.length bounds in
-  let i = ref 0 in
-  while !i < n && x > bounds.(!i) do
-    Stdlib.incr i
-  done;
-  !i
-
-let observe h x =
+let observe s x =
   if Atomic.get enabled_flag then
-    match h.data with
-    | H hist ->
-        Atomic.incr hist.buckets.(bucket_index hist.bounds x);
-        atomic_add_float hist.h_sum x
+    match s.data with
+    | S sk ->
+        Mutex.lock sk.s_lock;
+        Sketch.add sk.s_sketch x;
+        Mutex.unlock sk.s_lock
     | C _ | G _ -> assert false
 
-let time h f =
-  if not (Atomic.get enabled_flag) then f ()
-  else begin
-    let t0 = Unix.gettimeofday () in
-    let finally () = observe h (Unix.gettimeofday () -. t0) in
-    Fun.protect ~finally f
-  end
+let copy_sketch sk =
+  Mutex.lock sk.s_lock;
+  let c = Sketch.copy sk.s_sketch in
+  Mutex.unlock sk.s_lock;
+  c
 
 let counter_value c = match c.data with C v -> Atomic.get v | _ -> assert false
 
 let gauge_value g = match g.data with G v -> Atomic.get v | _ -> assert false
 
-let hist_count h =
-  match h.data with
-  | H hist -> Array.fold_left (fun acc b -> acc + Atomic.get b) 0 hist.buckets
-  | _ -> assert false
-
-let hist_sum h =
-  match h.data with H hist -> Atomic.get hist.h_sum | _ -> assert false
-
-let hist_buckets h =
-  match h.data with
-  | H hist -> Array.map Atomic.get hist.buckets
-  | _ -> assert false
+let snapshot s = match s.data with S sk -> copy_sketch sk | _ -> assert false
 
 let reset () =
   Mutex.lock lock;
@@ -158,9 +110,10 @@ let reset () =
       match m.data with
       | C v -> Atomic.set v 0
       | G v -> Atomic.set v 0.
-      | H hist ->
-          Array.iter (fun b -> Atomic.set b 0) hist.buckets;
-          Atomic.set hist.h_sum 0.)
+      | S sk ->
+          Mutex.lock sk.s_lock;
+          Sketch.clear sk.s_sketch;
+          Mutex.unlock sk.s_lock)
     registry;
   Mutex.unlock lock
 
@@ -176,19 +129,22 @@ let label_string labels =
           (List.map (fun (k, v) -> Printf.sprintf "%s=%S" k v) labels)
       ^ "}"
 
-let with_extra_label labels k v = List.sort compare ((k, v) :: labels)
-
 let float_string x =
   if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.0f" x
   else Printf.sprintf "%.9g" x
 
-let render () =
+let quantile_labels =
+  [ ("0.5", 0.5); ("0.9", 0.9); ("0.95", 0.95); ("0.99", 0.99); ("0.999", 0.999) ]
+
+(* Every metric sorted by (name, labels): the one order both renderers
+   use, so equal registries always print equal bytes. *)
+let sorted () =
   Mutex.lock lock;
   let metrics = Hashtbl.fold (fun _ m acc -> m :: acc) registry [] in
   Mutex.unlock lock;
-  let metrics =
-    List.sort (fun a b -> compare (a.name, a.labels) (b.name, b.labels)) metrics
-  in
+  List.sort (fun a b -> compare (a.name, a.labels) (b.name, b.labels)) metrics
+
+let render () =
   let buf = Buffer.create 4096 in
   let line fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let last_header = ref "" in
@@ -199,27 +155,37 @@ let render () =
         if m.help <> "" then line "# HELP %s %s\n" m.name m.help;
         line "# TYPE %s %s\n" m.name (kind_name m.data)
       end;
+      let labels = label_string m.labels in
       match m.data with
-      | C v -> line "%s%s %d\n" m.name (label_string m.labels) (Atomic.get v)
-      | G v ->
-          line "%s%s %s\n" m.name (label_string m.labels)
-            (float_string (Atomic.get v))
-      | H hist ->
-          let cum = ref 0 in
-          Array.iteri
-            (fun i b ->
-              cum := !cum + Atomic.get b;
-              let le =
-                if i < Array.length hist.bounds then
-                  Printf.sprintf "%g" hist.bounds.(i)
-                else "+Inf"
-              in
-              line "%s_bucket%s %d\n" m.name
-                (label_string (with_extra_label m.labels "le" le))
-                !cum)
-            hist.buckets;
-          line "%s_sum%s %s\n" m.name (label_string m.labels)
-            (float_string (Atomic.get hist.h_sum));
-          line "%s_count%s %d\n" m.name (label_string m.labels) !cum)
-    metrics;
+      | C v -> line "%s%s %d\n" m.name labels (Atomic.get v)
+      | G v -> line "%s%s %s\n" m.name labels (float_string (Atomic.get v))
+      | S sk ->
+          (* One {quantile=...} sample per tracked quantile, then _sum
+             and _count. *)
+          let sk = copy_sketch sk in
+          List.iter
+            (fun (ql, q) ->
+              line "%s%s %s\n" m.name
+                (label_string (List.sort compare (("quantile", ql) :: m.labels)))
+                (float_string (Sketch.quantile sk q)))
+            quantile_labels;
+          line "%s_sum%s %s\n" m.name labels (float_string (Sketch.sum sk));
+          line "%s_count%s %d\n" m.name labels (Sketch.count sk))
+    (sorted ());
+  Buffer.contents buf
+
+let render_json () =
+  let buf = Buffer.create 1024 in
+  Buffer.add_char buf '{';
+  List.iter
+    (fun m ->
+      match m.data with
+      | S sk ->
+          if Buffer.length buf > 1 then Buffer.add_char buf ',';
+          Printf.bprintf buf "\"%s\":%s"
+            (Ri_util.Json.escape (m.name ^ label_string m.labels))
+            (Sketch.snapshot_json (copy_sketch sk))
+      | C _ | G _ -> ())
+    (sorted ());
+  Buffer.add_char buf '}';
   Buffer.contents buf

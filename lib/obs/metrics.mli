@@ -1,30 +1,31 @@
-(** Low-overhead counters, gauges and fixed-bucket histograms behind a
+(** Low-overhead counters, gauges and quantile summaries behind one
     global registry.
 
     Instrumented modules register their metrics once at module-init
     time; registration is always live so {!render} can enumerate the
     full schema.  {e Recording} is gated by one atomic flag: when
-    observability is off (the default — set [RI_OBS=1] or call
-    {!set_enabled} to turn it on) every record operation is a single
-    load-and-branch, which keeps instrumented hot paths within the
-    sub-1% overhead budget.
+    observability is off (the default — call {!set_enabled} to turn it
+    on) every record operation is a single load-and-branch, which keeps
+    instrumented hot paths within the sub-1% overhead budget.
 
-    Values are atomics, so trial code running on pool worker domains
-    records concurrently without locks; the registry mutex only guards
-    registration and enumeration. *)
+    Counters and gauges are atomics, so trial code running on pool
+    worker domains records concurrently without locks.  A summary is a
+    {!Sketch.t} under its own mutex; every quantity a sketch
+    accumulates commutes, so its state does not depend on the order
+    domains record in.  The registry mutex only guards registration and
+    enumeration. *)
 
 val enabled : unit -> bool
 
 val set_enabled : bool -> unit
-(** The initial value honors the [RI_OBS] environment variable
-    (default off).  [risim --metrics] and the trace recorder force it
-    on for their own run. *)
+(** Off at start.  [risim --metrics], [--serve-obs] and the trace
+    recorder turn it on for their own run. *)
 
 type counter
 
 type gauge
 
-type histogram
+type summary
 
 val counter :
   ?help:string -> ?labels:(string * string) list -> string -> counter
@@ -35,23 +36,12 @@ val counter :
 
 val gauge : ?help:string -> ?labels:(string * string) list -> string -> gauge
 
-val histogram :
-  ?help:string ->
-  ?labels:(string * string) list ->
-  ?buckets:float array ->
-  string ->
-  histogram
-(** [buckets] are strictly increasing upper bounds; an [+Inf] bucket is
-    implicit.  The default buckets are exponential seconds from 10us
-    to 10s, suiting phase timings. *)
-
-val default_buckets : float array
-(** Exponential seconds, 10us to 10s — build-scale phases. *)
-
-val micro_buckets : float array
-(** Microsecond-range preset (1us to 10ms in 2.5x steps): per-trial hot
-    paths like the ~80us prebuilt-net query and single update waves,
-    which the default grid collapses into one or two buckets. *)
+val summary :
+  ?help:string -> ?labels:(string * string) list -> string -> summary
+(** A quantile summary over a {!Sketch.t} with the default relative
+    error: per-query message counts, hops and wire bytes, per-wave
+    costs, per-phase wall clock.  Its sum is held in whole
+    micro-units per observation ({!Sketch.sum}). *)
 
 val incr : counter -> unit
 
@@ -59,26 +49,25 @@ val add : counter -> int -> unit
 
 val set : gauge -> float -> unit
 
-val observe : histogram -> float -> unit
-
-val time : histogram -> (unit -> 'a) -> 'a
-(** [time h f] runs [f] and observes its wall-clock duration in seconds;
-    when recording is disabled it is exactly [f ()]. *)
+val observe : summary -> float -> unit
 
 val counter_value : counter -> int
 
 val gauge_value : gauge -> float
 
-val hist_count : histogram -> int
-
-val hist_sum : histogram -> float
-
-val hist_buckets : histogram -> int array
-(** Raw (non-cumulative) per-bucket counts, the [+Inf] bucket last. *)
+val snapshot : summary -> Sketch.t
+(** A private copy of the summary's current sketch. *)
 
 val reset : unit -> unit
 (** Zero every registered value; registrations are kept. *)
 
 val render : unit -> string
 (** Prometheus text exposition format, metrics sorted by name then
-    labels (deterministic output for diffing). *)
+    labels (deterministic output for diffing).  A summary prints one
+    [name{quantile="q"}] sample for q in 0.5, 0.9, 0.95, 0.99 and
+    0.999, then [name_sum] and [name_count]. *)
+
+val render_json : unit -> string
+(** One JSON object mapping each summary's ["name{labels}"] to
+    {!Sketch.snapshot_json}, in {!render}'s order — the [sketches]
+    field of the [/progress] endpoint. *)

@@ -1,4 +1,4 @@
-(* Named wall-clock phases over Metrics histograms.  The handle table
+(* Named wall-clock phases over Metrics summaries.  The handle table
    avoids re-walking the metric registry on every call; phases fire a
    few times per trial, from any domain — registration and the name
    list are mutex-guarded so a first touch from two trials at once is
@@ -6,18 +6,9 @@
 
 let lock = Mutex.create ()
 
-type handles = { h_hist : Metrics.histogram; h_sketch : Sketch.series }
-
-let table : (string, handles) Hashtbl.t = Hashtbl.create 16
+let table : (string, Metrics.summary) Hashtbl.t = Hashtbl.create 16
 
 let names = ref []
-
-(* Per-trial phases (one query, one update wave, one drift pass) run in
-   microseconds-to-milliseconds; build phases in milliseconds-to-seconds.
-   Each gets the bucket grid that resolves its regime. *)
-let buckets_for = function
-  | "query" | "update" | "drift" -> Metrics.micro_buckets
-  | _ -> Metrics.default_buckets
 
 let handle name =
   Mutex.lock lock;
@@ -26,16 +17,9 @@ let handle name =
     | Some h -> h
     | None ->
         let h =
-          {
-            h_hist =
-              Metrics.histogram ~help:"Wall-clock seconds per pipeline phase."
-                ~buckets:(buckets_for name)
-                ~labels:[ ("phase", name) ] "ri_phase_seconds";
-            h_sketch =
-              Sketch.series
-                ~help:"Wall-clock seconds per pipeline phase (quantile sketch)."
-                ~labels:[ ("phase", name) ] "ri_phase_wall_seconds";
-          }
+          Metrics.summary
+            ~help:"Wall-clock seconds per pipeline phase (quantile sketch)."
+            ~labels:[ ("phase", name) ] "ri_phase_wall_seconds"
         in
         Hashtbl.add table name h;
         names := name :: !names;
@@ -59,9 +43,7 @@ let time name f =
     Atomic.set current_phase name;
     let t0 = Unix.gettimeofday () in
     let finally () =
-      let dt = Unix.gettimeofday () -. t0 in
-      Metrics.observe h.h_hist dt;
-      Sketch.observe h.h_sketch dt;
+      Metrics.observe h (Unix.gettimeofday () -. t0);
       Atomic.set current_phase enclosing
     in
     Fun.protect ~finally (fun () -> Gcprof.wrap name f)
@@ -73,6 +55,6 @@ let totals () =
   Mutex.unlock lock;
   List.map
     (fun name ->
-      let h = handle name in
-      (name, Metrics.hist_count h.h_hist, Metrics.hist_sum h.h_hist))
+      let sk = Metrics.snapshot (handle name) in
+      (name, Sketch.count sk, Sketch.sum sk))
     ns

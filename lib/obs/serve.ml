@@ -5,8 +5,8 @@
 
    The server never touches simulation state: every handler reads only
    atomic Progress fields and registry snapshots taken under their own
-   locks (Metrics/Sketch render, Gcprof stats), so it cannot perturb
-   the deterministic pipeline.  What /metrics renders is passed in as a
+   locks (Metrics render, Gcprof stats), so it cannot perturb the
+   deterministic pipeline.  What /metrics renders is passed in as a
    closure so this module stays independent of the CLI layering.
 
    One connection is handled at a time — the consumers are a human with
@@ -50,7 +50,7 @@ module Progress = struct
       "{\"phase\":\"%s\",\"label\":\"%s\",\"trials_done\":%d,\"trials_total\":%d,\"elapsed_s\":%.3f,\"eta_s\":%s,\"sketches\":%s}"
       (Ri_util.Json.escape (Phase.current ()))
       (Ri_util.Json.escape (Atomic.get run_label))
-      done_ total elapsed eta (Sketch.render_json ())
+      done_ total elapsed eta (Metrics.render_json ())
 end
 
 module Traffic = struct

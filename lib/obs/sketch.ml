@@ -89,6 +89,14 @@ let merge_into ~dst src =
   if src.v_min < dst.v_min then dst.v_min <- src.v_min;
   if src.v_max > dst.v_max then dst.v_max <- src.v_max
 
+let clear t =
+  Hashtbl.reset t.counts;
+  t.zero <- 0;
+  t.total <- 0;
+  t.sum_micro <- 0;
+  t.v_min <- infinity;
+  t.v_max <- neg_infinity
+
 let merge a b =
   let t = create ~alpha:a.alpha () in
   merge_into ~dst:t a;
@@ -132,9 +140,6 @@ let quantile t q =
     end
   end
 
-let quantile_labels =
-  [ ("0.5", 0.5); ("0.9", 0.9); ("0.95", 0.95); ("0.99", 0.99); ("0.999", 0.999) ]
-
 (* %.9g with integral values as integers — matches Metrics.float_string
    so sketch summaries and gauges read alike. *)
 let float_string x =
@@ -162,144 +167,3 @@ let snapshot_json t =
     (float_string (min_value t))
     (float_string (max_value t))
     (q 0.5) (q 0.9) (q 0.95) (q 0.99) (q 0.999)
-
-(* ------------------------------------------------------------------ *)
-(* Global series registry.                                             *)
-
-(* Observations arrive from whichever domain runs the trial; the
-   per-series mutex makes each observation atomic, and because every
-   accumulated quantity commutes (see header) the merged state — and
-   hence the rendered bytes — is independent of arrival order.  The
-   recording gate is the same one Metrics uses, so RI_OBS=0 keeps the
-   instrumented hot paths at one load and branch. *)
-type series = {
-  s_name : string;
-  s_labels : (string * string) list;
-  s_help : string;
-  s_lock : Mutex.t;
-  s_sketch : t;
-}
-
-let registry_lock = Mutex.create ()
-
-let registry : (string * (string * string) list, series) Hashtbl.t =
-  Hashtbl.create 32
-
-let series ?(help = "") ?(labels = []) ?alpha name =
-  let labels = List.sort compare labels in
-  let key = (name, labels) in
-  Mutex.lock registry_lock;
-  let s =
-    match Hashtbl.find_opt registry key with
-    | Some s -> s
-    | None ->
-        let s =
-          {
-            s_name = name;
-            s_labels = labels;
-            s_help = help;
-            s_lock = Mutex.create ();
-            s_sketch = create ?alpha ();
-          }
-        in
-        Hashtbl.add registry key s;
-        s
-  in
-  Mutex.unlock registry_lock;
-  s
-
-let observe s x =
-  if Metrics.enabled () then begin
-    Mutex.lock s.s_lock;
-    add s.s_sketch x;
-    Mutex.unlock s.s_lock
-  end
-
-let snapshot s =
-  Mutex.lock s.s_lock;
-  let c = copy s.s_sketch in
-  Mutex.unlock s.s_lock;
-  c
-
-let all () =
-  Mutex.lock registry_lock;
-  let xs = Hashtbl.fold (fun _ s acc -> s :: acc) registry [] in
-  Mutex.unlock registry_lock;
-  let xs =
-    List.sort (fun a b -> compare (a.s_name, a.s_labels) (b.s_name, b.s_labels)) xs
-  in
-  List.map (fun s -> (s.s_name, s.s_labels, snapshot s)) xs
-
-let reset () =
-  Mutex.lock registry_lock;
-  let xs = Hashtbl.fold (fun _ s acc -> s :: acc) registry [] in
-  Mutex.unlock registry_lock;
-  List.iter
-    (fun s ->
-      Mutex.lock s.s_lock;
-      Hashtbl.reset s.s_sketch.counts;
-      s.s_sketch.zero <- 0;
-      s.s_sketch.total <- 0;
-      s.s_sketch.sum_micro <- 0;
-      s.s_sketch.v_min <- infinity;
-      s.s_sketch.v_max <- neg_infinity;
-      Mutex.unlock s.s_lock)
-    xs
-
-let label_string labels =
-  match labels with
-  | [] -> ""
-  | _ ->
-      "{"
-      ^ String.concat ","
-          (List.map (fun (k, v) -> Printf.sprintf "%s=%S" k v) labels)
-      ^ "}"
-
-(* Prometheus summary exposition: one {quantile=...} sample per tracked
-   quantile plus _sum and _count, sorted by (name, labels) — same
-   deterministic-diff contract as Metrics.render. *)
-let render () =
-  let buf = Buffer.create 1024 in
-  let last_header = ref "" in
-  List.iter
-    (fun (name, labels, sk) ->
-      if name <> !last_header then begin
-        last_header := name;
-        Mutex.lock registry_lock;
-        let help =
-          match Hashtbl.find_opt registry (name, labels) with
-          | Some s -> s.s_help
-          | None -> ""
-        in
-        Mutex.unlock registry_lock;
-        if help <> "" then Printf.bprintf buf "# HELP %s %s\n" name help;
-        Printf.bprintf buf "# TYPE %s summary\n" name
-      end;
-      List.iter
-        (fun (ql, q) ->
-          Printf.bprintf buf "%s%s %s\n" name
-            (label_string (List.sort compare (("quantile", ql) :: labels)))
-            (float_string (quantile sk q)))
-        quantile_labels;
-      Printf.bprintf buf "%s_sum%s %s\n" name (label_string labels)
-        (float_string (sum sk));
-      Printf.bprintf buf "%s_count%s %d\n" name (label_string labels)
-        (count sk))
-    (all ());
-  Buffer.contents buf
-
-(* JSON snapshot of every registered series, for the /progress
-   endpoint: {"name{k=v}": {...}, ...} with the same sort order as the
-   Prometheus render. *)
-let render_json () =
-  let buf = Buffer.create 1024 in
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (name, labels, sk) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf "\"%s\":%s"
-        (Ri_util.Json.escape (name ^ label_string labels))
-        (snapshot_json sk))
-    (all ());
-  Buffer.add_char buf '}';
-  Buffer.contents buf

@@ -46,6 +46,9 @@ val quantile : t -> float -> float
 val merge_into : dst:t -> t -> unit
 (** @raise Invalid_argument on an alpha mismatch. *)
 
+val clear : t -> unit
+(** Back to the empty state, keeping [alpha]. *)
+
 val merge : t -> t -> t
 
 val copy : t -> t
@@ -56,42 +59,3 @@ val encode : t -> string
 
 val snapshot_json : t -> string
 (** [{"count":..,"sum":..,"min":..,"max":..,"p50":..,...,"p999":..}] *)
-
-(** {2 Global series registry}
-
-    Named sketch series for the instrumented hot paths (per-query
-    message count, hops, wire bytes, per-phase wall clock).  Recording
-    is gated by {!Metrics.enabled} — one load and a branch when off —
-    and each observation takes a per-series mutex, so worker domains
-    record concurrently and the accumulated state is still
-    order-independent. *)
-
-type series
-
-val series :
-  ?help:string ->
-  ?labels:(string * string) list ->
-  ?alpha:float ->
-  string ->
-  series
-(** Registration is idempotent per [(name, labels)]. *)
-
-val observe : series -> float -> unit
-
-val snapshot : series -> t
-(** A private copy of the series' current sketch. *)
-
-val all : unit -> (string * (string * string) list * t) list
-(** Snapshots of every registered series, sorted by (name, labels). *)
-
-val reset : unit -> unit
-(** Zero every registered series; registrations are kept. *)
-
-val render : unit -> string
-(** Prometheus text exposition as summaries:
-    [name{quantile="0.5"} v] ... plus [_sum]/[_count], deterministic
-    order.  Concatenated after {!Metrics.render} by the exporters. *)
-
-val render_json : unit -> string
-(** One JSON object mapping ["name{labels}"] to {!snapshot_json}
-    values — the sketch section of the [/progress] endpoint. *)

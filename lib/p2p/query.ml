@@ -51,14 +51,14 @@ let m_satisfied =
     "ri_query_satisfied_total"
 
 (* Distribution of per-query cost: the counters feed the totals above
-   and, once per query, these sketches — which is where p95/p99 of
+   and, once per query, these summaries — which is where p95/p99 of
    messages and hops come from. *)
 let s_messages =
-  Ri_obs.Sketch.series ~help:"Messages per query (quantile sketch)."
+  Ri_obs.Metrics.summary ~help:"Messages per query (quantile sketch)."
     "ri_query_messages"
 
 let s_hops =
-  Ri_obs.Sketch.series ~help:"Forward hops per query (quantile sketch)."
+  Ri_obs.Metrics.summary ~help:"Forward hops per query (quantile sketch)."
     "ri_query_hops"
 
 let record_outcome kind o =
@@ -68,8 +68,8 @@ let record_outcome kind o =
     Ri_obs.Metrics.add m_returns o.counters.Message.query_returns;
     Ri_obs.Metrics.add m_results o.counters.Message.result_messages;
     if o.satisfied then Ri_obs.Metrics.incr m_satisfied;
-    Ri_obs.Sketch.observe s_messages (float_of_int (messages o));
-    Ri_obs.Sketch.observe s_hops (float_of_int o.counters.Message.query_forwards)
+    Ri_obs.Metrics.observe s_messages (float_of_int (messages o));
+    Ri_obs.Metrics.observe s_hops (float_of_int o.counters.Message.query_forwards)
   end;
   o
 
@@ -643,9 +643,9 @@ let run_parallel ?(on_event = fun (_ : event) -> ()) net ~origin ~query ~branch 
     Ri_obs.Metrics.add m_forwards counters.Message.query_forwards;
     Ri_obs.Metrics.add m_results counters.Message.result_messages;
     if satisfied () then Ri_obs.Metrics.incr m_satisfied;
-    Ri_obs.Sketch.observe s_messages
+    Ri_obs.Metrics.observe s_messages
       (float_of_int (Message.query_messages counters));
-    Ri_obs.Sketch.observe s_hops (float_of_int counters.Message.query_forwards)
+    Ri_obs.Metrics.observe s_hops (float_of_int counters.Message.query_forwards)
   end;
   {
     p_found = !found;

@@ -19,7 +19,7 @@ let m_converged =
    wave is a fixed-size batch, and convergence is only checked at wave
    boundaries.  Wave size never depends on the pool width, and the wave's
    observations fold into the accumulator in trial-index order, so
-   [RI_JOBS=4] and [RI_JOBS=1] produce bit-identical summaries.  The
+   [--jobs 4] and [--jobs 1] produce bit-identical summaries.  The
    price is a bounded overshoot: up to [wave_batch - 1] extra trials
    compared to checking after every single one. *)
 let wave_batch = 4

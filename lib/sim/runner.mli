@@ -26,8 +26,8 @@ val run : ?pool:Ri_util.Pool.t -> spec -> (trial:int -> float) -> Ri_util.Stats.
 (** Call the trial function with [trial = 0, 1, ...] in waves until the
     95% CI is within the target relative error (and [min_trials]
     reached) or [max_trials] have run; summarize the observations.
-    [pool] defaults to {!Ri_util.Pool.global}, whose width follows
-    [RI_JOBS]; the trial function must be safe to call from multiple
+    [pool] defaults to {!Ri_util.Pool.global}, whose width
+    {!Ri_util.Pool.set_global_jobs} sets; the trial function must be safe to call from multiple
     domains when the pool is wider than 1 (trial functions built on
     {!Trial} are). *)
 

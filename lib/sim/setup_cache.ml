@@ -1,4 +1,3 @@
-open Ri_util
 open Ri_content
 open Ri_topology
 
@@ -120,7 +119,7 @@ let b_misses = ref 0
    budget of 32M words (a 100k-node network template is ~8M). *)
 let budget_words = 32_000_000
 
-let cache_enabled = ref (Env.int ~min:0 "RI_CACHE" 1 <> 0)
+let cache_enabled = ref true
 
 let enabled () = !cache_enabled
 

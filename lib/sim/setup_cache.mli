@@ -23,7 +23,7 @@
     budget, trial) and each distinct baseline runs once.
 
     The cache is domain-safe (trials in a runner wave run concurrently)
-    and memory-bounded; set [RI_CACHE=0] to disable it entirely. *)
+    and memory-bounded; {!set_enabled} [false] disables it entirely. *)
 
 type graph_key = {
   g_topology : Config.topology;
@@ -102,7 +102,7 @@ val enabled : unit -> bool
 
 val set_enabled : bool -> unit
 (** Toggle at runtime (tests compare cached against fresh builds).  The
-    initial value honors [RI_CACHE] ([0] disables). *)
+    cache starts enabled. *)
 
 val clear : unit -> unit
 (** Drop all entries and reset the hit/miss counters. *)

@@ -64,12 +64,11 @@ let export_metrics () =
   Gcprof.export_metrics ()
 
 (* Everything a scrape or a --metrics dump should carry: the registry
-   (counters/gauges/histograms, with the bridge gauges refreshed) plus
-   the sketch summaries.  This is also what --serve-obs hands to
-   /metrics. *)
+   with the bridge gauges refreshed.  This is also what --serve-obs
+   hands to /metrics. *)
 let render_metrics () =
   export_metrics ();
-  Metrics.render () ^ Sketch.render ()
+  Metrics.render ()
 
 let gc_lines = Gcprof.table_lines
 
@@ -78,7 +77,7 @@ let pct hits misses =
   if total = 0 then 0. else 100. *. float_of_int hits /. float_of_int total
 
 let cache_line () =
-  if not (Setup_cache.enabled ()) then "setup-cache: disabled (RI_CACHE=0)"
+  if not (Setup_cache.enabled ()) then "setup-cache: disabled"
   else
     let s = Setup_cache.stats () in
     Printf.sprintf

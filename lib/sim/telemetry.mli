@@ -11,9 +11,8 @@ val export_metrics : unit -> unit
     just before {!Ri_obs.Metrics.render}. *)
 
 val render_metrics : unit -> string
-(** [export_metrics] then the full Prometheus text exposition:
-    registry metrics followed by the quantile-sketch summaries
-    ({!Ri_obs.Sketch.render}).  What [--metrics] writes and
+(** [export_metrics] then {!Ri_obs.Metrics.render}: counters, gauges
+    and summaries in one sorted pass.  What [--metrics] writes and
     [--serve-obs] serves at [/metrics]. *)
 
 val gc_lines : unit -> string list

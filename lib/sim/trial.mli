@@ -145,8 +145,8 @@ val run_query_faulty : Config.t -> trial:int -> fault_metrics
     rates).  That run depends on [cfg.fault] only through its [drift]
     and [query_budget], so {!Setup_cache.baseline} computes it once per
     distinct (clean configuration, trial): a sweep over loss levels or
-    fallback policies reuses it, and [RI_CACHE=0] recomputes it every
-    time with identical results.  Deterministic for a given seed + spec
+    fallback policies reuses it, and with the cache disabled it is
+    recomputed every time with identical results.  Deterministic for a given seed + spec
     at any pool width: the plan draws from its own [(seed, trial)]-keyed
     stream.
     @raise Invalid_argument when [cfg.fault] is inert. *)

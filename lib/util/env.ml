@@ -1,76 +1,6 @@
-(* A malformed or out-of-range value falls back to the default (a typo
-   must degrade a long batch run, not crash it) but warns on stderr, once
-   per variable, so the operator can tell the knob was ignored. *)
-
-let warned : (string, unit) Hashtbl.t = Hashtbl.create 8
-
-let warn name fmt =
-  Printf.ksprintf
-    (fun msg ->
-      if not (Hashtbl.mem warned name) then begin
-        Hashtbl.add warned name ();
-        Printf.eprintf "warning: %s=%s; %s\n%!" name
-          (match Sys.getenv_opt name with Some s -> Printf.sprintf "%S" s | None -> "")
-          msg
-      end)
-    fmt
-
-(* An empty value is the shell idiom for "unset" (and [putenv] cannot
-   remove a variable), so it falls back silently. *)
-let lookup name =
-  match Sys.getenv_opt name with None | Some "" -> None | Some s -> Some s
-
-let int ?(min = 1) ?(max = max_int) name default =
-  match lookup name with
-  | None -> default
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some v when v >= min && v <= max -> v
-      | Some _ ->
-          warn name "outside [%d, %s]; using default %d" min
-            (if max = max_int then "inf" else string_of_int max)
-            default;
-          default
-      | None ->
-          warn name "not an integer; using default %d" default;
-          default)
-
-(* The one range check behind both policies: the env parser warns and
-   falls back on [Error]; strict consumers (CLI flag validation) refuse
-   outright.  NaN is rejected explicitly — it fails every comparison,
-   so [v >= min] alone would silently admit it nowhere and the message
-   would blame the range. *)
+(* NaN is rejected explicitly: it fails every comparison, so [v >= min]
+   alone would admit it nowhere and the message would blame the range. *)
 let check_float ?(min = 0.) ?(max = infinity) ~what v =
   if Float.is_nan v then Error (Printf.sprintf "%s must be a number, got nan" what)
   else if v >= min && v <= max then Ok v
   else Error (Printf.sprintf "%s must be in [%g, %g], got %g" what min max v)
-
-let float ?(min = 0.) ?(max = infinity) name default =
-  match lookup name with
-  | None -> default
-  | Some s -> (
-      match float_of_string_opt s with
-      | Some v -> (
-          match check_float ~min ~max ~what:name v with
-          | Ok v -> v
-          | Error _ ->
-              warn name "outside [%g, %g]; using default %g" min max default;
-              default)
-      | None ->
-          warn name "not a number; using default %g" default;
-          default)
-
-let bool name default =
-  match lookup name with
-  | None -> default
-  | Some s -> (
-      match String.lowercase_ascii s with
-      | "1" | "true" | "yes" | "on" -> true
-      | "0" | "false" | "no" | "off" -> false
-      | _ ->
-          warn name "not a boolean (use 0/1, true/false, yes/no, on/off); \
-                     using default %b" default;
-          default)
-
-let string name default =
-  match Sys.getenv_opt name with Some s -> s | None -> default

@@ -222,8 +222,7 @@ let map t ~n f =
   iter t ~n (fun i -> out.(i) <- Some (f i));
   Array.map (function Some v -> v | None -> assert false) out
 
-let default_jobs () =
-  Env.int ~min:1 "RI_JOBS" (max 1 (Domain.recommended_domain_count () - 1))
+let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
 
 let global_pool = ref None
 

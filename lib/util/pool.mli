@@ -69,9 +69,9 @@ val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** Create, run, and always shut down (exception-safe). *)
 
 val default_jobs : unit -> int
-(** The [RI_JOBS] environment variable when set (min 1), otherwise
-    [Domain.recommended_domain_count () - 1], floored at 1.
-    [RI_JOBS=1] forces the sequential path everywhere. *)
+(** [Domain.recommended_domain_count () - 1], floored at 1: all cores
+    but the one the submitter runs on.  {!set_global_jobs} overrides
+    it. *)
 
 val global : unit -> t
 (** The process-wide pool, created on first use with {!default_jobs}

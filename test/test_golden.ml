@@ -17,6 +17,9 @@
 
 open Ri_sim
 
+(* RI_GOLDEN_PRINT=1 prints the values being pinned (see above). *)
+let golden_print = Sys.getenv_opt "RI_GOLDEN_PRINT" = Some "1"
+
 let nodes = 200
 
 let spec = { Runner.min_trials = 3; max_trials = 3; target_rel_error = 0.1 }
@@ -177,7 +180,7 @@ let expected_recovery =
 let check_report id run expected () =
   let report = run ~base ~spec in
   let actual = cells report in
-  if Ri_util.Env.int "RI_GOLDEN_PRINT" 0 <> 0 then
+  if golden_print then
     List.iter
       (fun (k, v) ->
         Printf.printf "    (%S, 0x%LxL);\n" k (Int64.bits_of_float v))
@@ -297,7 +300,7 @@ let faulty_walk_digest () =
       Span.clear ())
     configs;
   let digest = Digest.to_hex (Digest.string (Buffer.contents buf)) in
-  if Ri_util.Env.int "RI_GOLDEN_PRINT" 0 <> 0 then
+  if golden_print then
     Printf.printf
       "faulty walk: %d configs, %d budget stops, %d timeouts, %d give-ups, \
        %d reconciles, digest %s\n"
@@ -422,7 +425,7 @@ let recorder_golden (body, which, run) () =
       (fun (view, text) ->
         let key = body ^ " " ^ view in
         let digest = Digest.to_hex (Digest.string text) in
-        if Ri_util.Env.int "RI_GOLDEN_PRINT" 0 <> 0 then
+        if golden_print then
           Printf.printf "    (%S, %S);\n" key digest;
         Alcotest.(check bool) (key ^ " not empty") true (text <> "");
         (key, digest))

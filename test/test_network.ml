@@ -6,6 +6,10 @@ open Ri_core
 open Ri_topology
 open Ri_p2p
 
+(* RI_GOLDEN_PRINT=1 prints the digests and per-node words being
+   pinned below. *)
+let golden_print = Sys.getenv_opt "RI_GOLDEN_PRINT" = Some "1"
+
 let universe = Topic.paper_example
 
 (* The paper's running example as actual document databases:
@@ -388,7 +392,7 @@ let test_rooted_rows_golden () =
       rooted_kinds
   in
   let digests = digests `Rooted "" @ digests `Converged "converged " in
-  if Ri_util.Env.int "RI_GOLDEN_PRINT" 0 <> 0 then
+  if golden_print then
     List.iter (fun (k, d) -> Printf.printf "    (%S, %S);\n" k d) digests;
   Alcotest.(check int) "builds" 64 (List.length digests);
   List.iter
@@ -424,7 +428,7 @@ let test_rooted_build_cost () =
       let w0 = Gc.minor_words () in
       ignore (Sys.opaque_identity (build ()));
       let per_node = (Gc.minor_words () -. w0) /. float_of_int n in
-      if Ri_util.Env.int "RI_GOLDEN_PRINT" 0 <> 0 then
+      if golden_print then
         Printf.printf "rooted create %s: %.1f minor words per node\n"
           (Scheme.kind_name kind) per_node;
       Alcotest.(check bool)

@@ -100,20 +100,20 @@ let test_alpha_mismatch () =
     (Invalid_argument "Sketch.merge_into: alpha mismatch") (fun () ->
       ignore (Sketch.merge a b))
 
-(* The registry face: series registration is idempotent, observation is
-   gated by Metrics.enabled, and render emits a Prometheus summary. *)
+(* The registry face: summary registration is idempotent, observation
+   is gated by Metrics.enabled, and render emits a Prometheus summary. *)
 let test_series_render () =
   let was = Metrics.enabled () in
   Metrics.set_enabled true;
   Fun.protect
     ~finally:(fun () -> Metrics.set_enabled was)
     (fun () ->
-      let s = Sketch.series ~help:"Test sketch." "ri_test_sketch_series" in
-      let s' = Sketch.series "ri_test_sketch_series" in
-      List.iter (fun x -> Sketch.observe s (float_of_int x)) [ 1; 2; 3; 4; 5 ];
+      let s = Metrics.summary ~help:"Test sketch." "ri_test_sketch_series" in
+      let s' = Metrics.summary "ri_test_sketch_series" in
+      List.iter (fun x -> Metrics.observe s (float_of_int x)) [ 1; 2; 3; 4; 5 ];
       Alcotest.(check int) "registration idempotent" 5
-        (Sketch.count (Sketch.snapshot s'));
-      let text = Sketch.render () in
+        (Sketch.count (Metrics.snapshot s'));
+      let text = Metrics.render () in
       Alcotest.(check bool) "summary type line" true
         (Astring.String.is_infix ~affix:"# TYPE ri_test_sketch_series summary"
            text);
@@ -122,9 +122,9 @@ let test_series_render () =
            ~affix:"ri_test_sketch_series{quantile=\"0.5\"}" text);
       Alcotest.(check bool) "count sample" true
         (Astring.String.is_infix ~affix:"ri_test_sketch_series_count 5" text);
-      Sketch.reset ();
+      Metrics.reset ();
       Alcotest.(check int) "reset zeroes" 0
-        (Sketch.count (Sketch.snapshot s)))
+        (Sketch.count (Metrics.snapshot s)))
 
 let suite =
   ( "sketch",

@@ -15,8 +15,7 @@
    exactly the moved lines and `dune promote` records them.
 
    Each rep runs with no RI_* variable in its environment, as the
-   ledger's own reps do: knobs such as RI_CACHE change the work, and
-   the caller's shell must not move the pins. *)
+   ledger's own reps do, so the caller's shell cannot move the pins. *)
 
 open Ri_util
 
