@@ -101,6 +101,15 @@ let distribute rng ~universe ~n ~query_topics ~results ~distribution
 
 let node_summary t v = t.summaries.(v)
 
+(* A plain loop over the by-topic arrays: the running sum stays in a
+   register, so no float is boxed per node. *)
+let topic_total t topic =
+  let sum = ref 0. in
+  for v = 0 to Array.length t.summaries - 1 do
+    sum := !sum +. t.summaries.(v).Summary.by_topic.(topic)
+  done;
+  !sum
+
 (* Matching documents carry exactly the query topics, so moving [k] of
    them shifts a summary by [k] on the total and on each query topic,
    clamped at 0 against float fuzz. *)

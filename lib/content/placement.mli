@@ -53,6 +53,10 @@ val distribute :
 
 val node_summary : t -> int -> Summary.t
 
+val topic_total : t -> Topic.id -> float
+(** The documents on [topic] over every node's summary, summed in node
+    order from [0.]. *)
+
 val move :
   t -> topics:Topic.id list -> donor:int -> recipient:int -> int ->
   Summary.t * Summary.t

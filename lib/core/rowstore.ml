@@ -23,10 +23,7 @@ type t = {
          wrote the row; 0 marks rows untouched since construction.  Kept
          parallel to the cells (one int per row) and excluded from
          [capacity_words], which reports the index payload only. *)
-  mutable index : (int, int) Hashtbl.t;  (* peer -> slot *)
-  mutable shared_index : bool;
-      (* the peer table is shared with clones (copy-on-write): it must
-         be re-copied privately before any insert or remove *)
+  index : (int, int) Hashtbl.t;  (* peer -> slot *)
   mutable free : int list;  (* recycled slots, most recently freed first *)
   mutable next : int;  (* first never-used slot *)
 }
@@ -45,31 +42,9 @@ let create ?(rows = initial_rows) ~stride () =
     cells = Array.make (rows * stride) 0.;
     stamps = Array.make rows 0;
     index = Hashtbl.create 8;
-    shared_index = false;
     free = [];
     next = 0;
   }
-
-(* Template cloning: the cells are blitted, but the peer table is
-   shared copy-on-write — a converged-network clone only ever rewrites
-   existing rows, so in the common case no clone pays for a table.
-   When a mutation does force materialisation, [Hashtbl.copy]
-   duplicates the bucket structure verbatim, so iteration order — and
-   therefore every aggregation's float summation order — is identical
-   either way.  This is what makes cached converged networks safe to
-   hand out as per-trial clones. *)
-let copy t =
-  t.shared_index <- true;
-  { t with cells = Array.copy t.cells; stamps = Array.copy t.stamps }
-
-(* Materialise a private peer table before an insert or remove.  The
-   original's flag stays set: it may be shared with any number of other
-   clones, none of which ever sees this mutation. *)
-let own_index t =
-  if t.shared_index then begin
-    t.index <- Hashtbl.copy t.index;
-    t.shared_index <- false
-  end
 
 let stride t = t.stride
 
@@ -106,7 +81,6 @@ let ensure t peer =
   match Hashtbl.find_opt t.index peer with
   | Some slot -> slot * t.stride
   | None ->
-      own_index t;
       let slot =
         match t.free with
         | s :: rest ->
@@ -124,17 +98,12 @@ let ensure t peer =
 (* Back to the empty state [create] leaves, keeping the backing
    buffers.  [Hashtbl.reset] shrinks the peer table to its initial
    bucket array, so a reset store iterates a later insert sequence
-   exactly as a fresh one does; a table shared with clones is replaced
-   instead.  Used rows are zeroed, keeping [ensure]'s zeroed-row
-   promise. *)
+   exactly as a fresh one does.  Used rows are zeroed, keeping
+   [ensure]'s zeroed-row promise. *)
 let reset t =
   Array.fill t.cells 0 (t.next * t.stride) 0.;
   Array.fill t.stamps 0 t.next 0;
-  if t.shared_index then begin
-    t.index <- Hashtbl.create 8;
-    t.shared_index <- false
-  end
-  else Hashtbl.reset t.index;
+  Hashtbl.reset t.index;
   t.free <- [];
   t.next <- 0
 
@@ -142,7 +111,6 @@ let remove t peer =
   match Hashtbl.find_opt t.index peer with
   | None -> ()
   | Some slot ->
-      own_index t;
       Hashtbl.remove t.index peer;
       (* Zero the freed row so a recycled slot starts clean and stale
          values can never leak into a future peer's partial writes. *)

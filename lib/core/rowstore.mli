@@ -22,15 +22,6 @@ val create : ?rows:int -> stride:int -> unit -> t
     slack slots.
     @raise Invalid_argument if [stride <= 0]. *)
 
-val copy : t -> t
-(** An independent clone: one blit of the backing cells; the peer table
-    is shared copy-on-write and re-copied structurally ([Hashtbl.copy])
-    only if either side later inserts or removes a row.  Iteration
-    order — and with it every aggregation's summation order — is
-    bit-for-bit the original's in both regimes.  O(capacity), no
-    per-row boxing, and no table cost for clones that only rewrite
-    existing rows (a converged network's update waves). *)
-
 val stride : t -> int
 
 val data : t -> float array
@@ -51,8 +42,7 @@ val ensure : t -> int -> int
 val reset : t -> unit
 (** Drop every row, keeping the backing buffers: afterwards the store
     iterates any insert sequence exactly as a fresh {!create} fed the
-    same sequence does (same peer-table state, same initial size).  A
-    peer table shared with {!copy} clones is replaced, not cleared. *)
+    same sequence does (same peer-table state, same initial size). *)
 
 val remove : t -> int -> unit
 (** Drop the peer's row and recycle its slot (zeroed).  No-op when
@@ -78,8 +68,8 @@ val set_stamp : t -> int -> int -> unit
 
 val stamp : t -> int -> int
 (** The wave id recorded by {!set_stamp}; [0] for rows untouched since
-    construction or peers without a row.  Stamps survive {!copy}, move
-    with growth, and reset to 0 on {!remove}. *)
+    construction or peers without a row.  Stamps move with growth and
+    reset to 0 on {!remove}. *)
 
 val peers : t -> int list
 (** Peers with a row, in increasing id order. *)

@@ -55,8 +55,10 @@ type cycle_policy = No_op | Detect_recover
     and the reason queries can reach a node twice.  Equal-depth
     neighbors hold each other's reach.  On a tree this coincides with
     [Converged] restricted to the directions a query from [origin] can
-    take.  The reaches are computed in one pass; a node's rows are
-    installed on its first {!ri} (see {!create}). *)
+    take.
+
+    Either way the rows are computed in one pass and a node's rows are
+    installed on its first read (see {!create}). *)
 type build_mode = Converged | Rooted of int
 
 type content = {
@@ -101,39 +103,28 @@ val create :
     number"); it keeps geometrically decayed residues from ringing
     around the network.
 
-    The converged construction is one sequential up-and-down pass over
-    a BFS spanning forest; trials, not builds, are what runs in
-    parallel.
-
-    A [Rooted] build is one sequential pass that computes every
-    reachable node's downstream reach into a flat array; no node's
-    index exists yet.  {!ri} installs a node's rows on its first read
-    (deeper neighbors first, then equal-depth ones), so a query pays
-    only for the nodes it visits.  Every other function that reads or
-    rewrites the indices — {!copy}, {!storage_words}, the exports,
-    {!set_local_summary}, {!add_link}, {!remove_link} — first installs
-    all pending rows.  The rows are bit-for-bit those an eager build
-    would hold, whatever the install order.  Since a first read writes
-    the network, a rooted network is single-domain until it is fully
-    installed.
+    Both builds are one sequential pass into flat arrays; trials, not
+    builds, are what runs in parallel.  A [Converged] build is an up
+    and a down pass over a BFS spanning forest, then the crossings of
+    the cycle-closing links, staging every directed link's row.  A
+    [Rooted] build computes every reachable node's downstream reach.
+    No node's index exists yet: the first read of a node — {!ri}, the
+    exports, {!set_local_summary} — installs that node's rows alone
+    (rooted: deeper neighbors first, then equal-depth ones; converged:
+    in the order an eager build inserts them), so a query or an update
+    wave pays only for the nodes it reaches.  {!storage_words},
+    {!add_link} and {!remove_link} install every pending node first.
+    The rows are bit-for-bit those an eager build would hold, whatever
+    the install order, and the flat arrays are dropped once every node
+    is installed.  Since a first read writes the network, a network is
+    single-domain until it is fully installed.
     @raise Invalid_argument for CRI + [No_op] on a cyclic graph in
     [Converged] mode, or an out-of-range [Rooted] origin (checked for
     every scheme, No-RI included, before anything is allocated). *)
 
-val copy : t -> t
-(** An independent clone: adjacency rows, routing indices and projected
-    locals are deep-copied (flat-store blits plus structural hash-table
-    copies, so iteration order — and with it every figure — is
-    bit-for-bit preserved); content closures and configuration are
-    shared.  Used by the setup cache to stamp out per-trial networks
-    from one converged template at a fraction of a rebuild's cost.  A
-    rooted network is fully installed first.
-    Only valid without a perturbation model: a perturbing network draws
-    from its PRNG, which the clone shares. *)
-
 val storage_words : t -> int
 (** Approximate resident size in words (adjacency + RI stores +
-    locals) — the setup cache's memory-budget accounting unit. *)
+    locals), every node installed. *)
 
 (** {2 Structure} *)
 
@@ -154,9 +145,10 @@ val min_update : t -> float
 val update_distance_floor : t -> float
 
 val ri : t -> int -> Ri_core.Scheme.t
-(** The node's routing index.  On a rooted network the first read of a
-    node installs its rows (counted by [ri_rooted_installs_total]),
-    charged to whatever phase is reading.
+(** The node's routing index.  The first read of a node installs its
+    rows (counted by [ri_rooted_installs_total] or
+    [ri_converged_installs_total]), charged to whatever phase is
+    reading.
     @raise Invalid_argument on a No-RI network. *)
 
 val has_ri : t -> bool
@@ -223,9 +215,8 @@ val converged_iterations : t -> int
 val fresh_wave : t -> int
 (** Draw the next logical update-wave id (1, 2, ...) for provenance
     lineage: [Update.wave] calls this once per wave and stamps the RI
-    rows it rewrites ({!Scheme.stamp_row}).  Per instance — {!copy}
-    clones count independently, so per-trial clones on pool workers stay
-    deterministic. *)
+    rows it rewrites ({!Scheme.stamp_row}).  Per instance, so each
+    trial's network counts from 1 on any pool worker. *)
 
 val rng : t -> Ri_util.Prng.t
 

@@ -37,25 +37,6 @@ type content_key = {
   c_trial : int;
 }
 
-(* Converged networks are pure functions of the overlay, the content
-   draw and the index parameters below — nothing else in a [Config.t]
-   feeds the build.  Keying on exactly those fields lets a
-   stop-condition or byte-cost sweep reuse one template across every
-   cell; each access returns [Network.copy template], never the
-   template itself, so callers may mutate their copy freely.  Rooted
-   builds are not cached: their flat pass costs less than the copy, and
-   a trial installs only the rows its walk reads. *)
-type network_key = {
-  n_graph : graph_key;
-  n_content : content_key;
-  n_scheme : Ri_core.Scheme.kind option;
-  n_ratio : float;
-  n_error_kind : Compression.error_kind;
-  n_policy : Ri_p2p.Network.cycle_policy;
-  n_min_update : float;
-  n_floor : float;  (* update_distance_floor *)
-}
-
 (* A faulty trial's paired clean run reads nothing of its configuration's
    fault spec but the drift and the query budget, so the key is the
    trial's configuration with the spec reduced to exactly those: the
@@ -84,15 +65,11 @@ let graphs : (graph_key, Graph.t) Hashtbl.t = Hashtbl.create 64
 
 let contents : (content_key, content) Hashtbl.t = Hashtbl.create 64
 
-let networks : (network_key, Ri_p2p.Network.t) Hashtbl.t = Hashtbl.create 64
-
 let baselines : (baseline_key, int) Hashtbl.t = Hashtbl.create 64
 
 let graph_words = ref 0
 
 let content_words = ref 0
-
-let network_words = ref 0
 
 let baseline_words = ref 0
 
@@ -104,10 +81,6 @@ let c_hits = ref 0
 
 let c_misses = ref 0
 
-let n_hits = ref 0
-
-let n_misses = ref 0
-
 let b_hits = ref 0
 
 let b_misses = ref 0
@@ -116,7 +89,7 @@ let b_misses = ref 0
    is ~15MB while a 300-node one is trivial.  On overflow the table is
    reset wholesale — reuse distances within an experiment sweep are
    short, so the refill cost is one trial set.  Each table gets its own
-   budget of 32M words (a 100k-node network template is ~8M). *)
+   budget of 32M words. *)
 let budget_words = 32_000_000
 
 let cache_enabled = ref true
@@ -129,18 +102,14 @@ let clear () =
   Mutex.lock lock;
   Hashtbl.reset graphs;
   Hashtbl.reset contents;
-  Hashtbl.reset networks;
   Hashtbl.reset baselines;
   graph_words := 0;
   content_words := 0;
-  network_words := 0;
   baseline_words := 0;
   g_hits := 0;
   g_misses := 0;
   c_hits := 0;
   c_misses := 0;
-  n_hits := 0;
-  n_misses := 0;
   b_hits := 0;
   b_misses := 0;
   Mutex.unlock lock
@@ -153,8 +122,9 @@ let stats () =
       graph_misses = !g_misses;
       content_hits = !c_hits;
       content_misses = !c_misses;
-      network_hits = !n_hits;
-      network_misses = !n_misses;
+      (* Networks are built fresh, never cached. *)
+      network_hits = 0;
+      network_misses = 0;
       baseline_hits = !b_hits;
       baseline_misses = !b_misses;
     }
@@ -208,17 +178,6 @@ let graph key compute = find_or graphs g_hits g_misses graph_words ~cost:graph_c
 
 let content key compute =
   find_or contents c_hits c_misses content_words ~cost:content_cost key compute
-
-(* The template stays private to the cache: every access — the miss
-   that built it included — hands out a [Network.copy], whose flat-store
-   blits preserve bit-identity with a from-scratch build.  With the
-   cache disabled the freshly built network is returned as is. *)
-let network key compute =
-  if not !cache_enabled then compute ()
-  else
-    Ri_p2p.Network.copy
-      (find_or networks n_hits n_misses network_words
-         ~cost:Ri_p2p.Network.storage_words key compute)
 
 (* An entry is one int plus its key: the key record, the configuration
    record and clean fault spec it carries (their other nested values are

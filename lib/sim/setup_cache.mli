@@ -8,13 +8,15 @@
     overlay graph is a pure function of the topology parameters and the
     content draw (query topic, placement, origin) is a pure function of
     the workload parameters — so sweep cells can share them instead of
-    regenerating identical structures.
+    regenerating identical structures.  Networks are not cached: every
+    trial builds its own in one flat pass, and installs a node's rows
+    only when something reads that node (see {!Ri_p2p.Network.create}).
 
     Cached values must be treated as immutable: [Network.create] copies
     adjacency rows and projects summaries into its own arrays, and
     nothing may mutate a cached [Placement.t]'s summaries in place.
 
-    A fourth table holds a result rather than an ingredient: the result
+    A third table holds a result rather than an ingredient: the result
     count of a faulty trial's paired fault-free baseline
     ({!Trial.run_query_faulty}, {!Trial.run_recovery}).  That run is a
     pure function of the trial and of the configuration with its fault
@@ -50,41 +52,12 @@ type content_key = {
   c_trial : int;
 }
 
-type network_key = {
-  n_graph : graph_key;
-  n_content : content_key;
-  n_scheme : Ri_core.Scheme.kind option;
-  n_ratio : float;
-  n_error_kind : Ri_content.Compression.error_kind;
-  n_policy : Ri_p2p.Network.cycle_policy;
-  n_min_update : float;
-  n_floor : float;  (** update_distance_floor *)
-}
-(** Everything a network build depends on — and nothing it does not, so
-    sweeps over stop conditions, byte costs or update batch sizes share
-    one template per trial. *)
-
 val graph : graph_key -> (unit -> Ri_topology.Graph.t) -> Ri_topology.Graph.t
 (** [graph key compute] returns the cached overlay for [key], calling
     [compute] on a miss.  [compute] runs outside the cache lock. *)
 
 val content : content_key -> (unit -> content) -> content
 (** Same, for the (query topics, placement, origin) draw. *)
-
-val network :
-  network_key -> (unit -> Ri_p2p.Network.t) -> Ri_p2p.Network.t
-(** Same, for the built network — except that what is returned is a
-    fresh {!Ri_p2p.Network.copy} of the cached template (bit-identical
-    to a from-scratch build, including hash-table iteration orders), so
-    the caller may freely run update waves or churn against it.  Only
-    cache perturbation-free builds over immutable placements:
-    {!Trial.build} bypasses this table when a perturbation model is
-    installed (the build draws from the PRNG) or when the caller
-    requested a mutable placement (the network's content closures must
-    bind the caller's private copy).  It also bypasses it for every
-    rooted (query) build: that flat pass costs less than a copy of a
-    template, and the rows it leaves are installed only where a walk
-    reads them. *)
 
 type baseline_key = {
   b_trial : int;
@@ -113,6 +86,8 @@ type stats = {
   content_hits : int;
   content_misses : int;
   network_hits : int;
+      (** always 0, as is [network_misses]: networks are not cached.
+          The ledger's [network_hit_ratio] still reads both. *)
   network_misses : int;
   baseline_hits : int;
   baseline_misses : int;

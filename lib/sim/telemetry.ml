@@ -18,10 +18,6 @@ let g_content_hits = g_cache "content" "hits"
 
 let g_content_misses = g_cache "content" "misses"
 
-let g_network_hits = g_cache "network" "hits"
-
-let g_network_misses = g_cache "network" "misses"
-
 let g_baseline_hits = g_cache "baseline" "hits"
 
 let g_baseline_misses = g_cache "baseline" "misses"
@@ -47,8 +43,6 @@ let export_metrics () =
   Metrics.set g_graph_misses (float_of_int s.Setup_cache.graph_misses);
   Metrics.set g_content_hits (float_of_int s.Setup_cache.content_hits);
   Metrics.set g_content_misses (float_of_int s.Setup_cache.content_misses);
-  Metrics.set g_network_hits (float_of_int s.Setup_cache.network_hits);
-  Metrics.set g_network_misses (float_of_int s.Setup_cache.network_misses);
   Metrics.set g_baseline_hits (float_of_int s.Setup_cache.baseline_hits);
   Metrics.set g_baseline_misses (float_of_int s.Setup_cache.baseline_misses);
   let pool = Pool.global () in
@@ -82,14 +76,11 @@ let cache_line () =
     let s = Setup_cache.stats () in
     Printf.sprintf
       "setup-cache: graphs %d hits / %d misses (%.0f%%), content %d hits / %d \
-       misses (%.0f%%), networks %d hits / %d misses (%.0f%%), baselines %d \
-       hits / %d misses"
+       misses (%.0f%%), baselines %d hits / %d misses"
       s.Setup_cache.graph_hits s.Setup_cache.graph_misses
       (pct s.Setup_cache.graph_hits s.Setup_cache.graph_misses)
       s.Setup_cache.content_hits s.Setup_cache.content_misses
       (pct s.Setup_cache.content_hits s.Setup_cache.content_misses)
-      s.Setup_cache.network_hits s.Setup_cache.network_misses
-      (pct s.Setup_cache.network_hits s.Setup_cache.network_misses)
       s.Setup_cache.baseline_hits s.Setup_cache.baseline_misses
 
 let pool_line () =

@@ -115,39 +115,16 @@ let build ?(purpose = For_query) ?perturb ?(mutable_placement = false)
            handles a revisited node. *)
         Network.Rooted origin
   in
+  (* Every trial builds its own network: one flat pass, whose rows a
+     node installs when something first reads it. *)
   let network =
     Phase.time "ri_build" (fun () ->
-        let fresh () =
-          Network.create ~graph ~content
-            ?scheme:(Config.scheme_kind cfg)
-            ~compression:(Config.compression cfg)
-            ~cycle_policy:cfg.cycle_policy ~min_update:cfg.min_update
-            ~update_distance_floor:cfg.update_distance_floor ?perturb
-            ~rng:net_rng ~mode ()
-        in
-        (* A converged network is itself cacheable: a template is
-           shared across every sweep cell with the same overlay, content
-           and index parameters, and each trial gets a bit-identical
-           [Network.copy].  Rooted builds are not cached: their flat
-           pass costs less than that copy, and installs only the rows a
-           walk reads.  Perturbed builds draw from the PRNG and mutable
-           placements bind content closures to this call's private copy
-           — both must build fresh too. *)
-        match mode with
-        | Network.Converged when Option.is_none perturb && not mutable_placement ->
-            Setup_cache.network
-              {
-                Setup_cache.n_graph = graph_key;
-                n_content = content_key;
-                n_scheme = Config.scheme_kind cfg;
-                n_ratio = cfg.compression_ratio;
-                n_error_kind = cfg.compression_mode;
-                n_policy = cfg.cycle_policy;
-                n_min_update = cfg.min_update;
-                n_floor = cfg.update_distance_floor;
-              }
-              fresh
-        | Network.Converged | Network.Rooted _ -> fresh ())
+        Network.create ~graph ~content
+          ?scheme:(Config.scheme_kind cfg)
+          ~compression:(Config.compression cfg)
+          ~cycle_policy:cfg.cycle_policy ~min_update:cfg.min_update
+          ~update_distance_floor:cfg.update_distance_floor ?perturb
+          ~rng:net_rng ~mode ())
   in
   { network; universe; query; origin; rng = trial_rng; placement }
 
@@ -570,16 +547,9 @@ let run_update_on ?on_event ?plan (cfg : Config.t) setup =
         ("client I introduces two new documents about languages",
         Section 4.3 — batched per Section 4.3's batching remark). *)
      let topic = Prng.int setup.rng cfg.topics in
-     let topic_total =
-       let acc = ref 0. in
-       for v = 0 to Network.size setup.network - 1 do
-         acc :=
-           !acc +. Summary.get (Network.raw_local_summary setup.network v) topic
-       done;
-       !acc
-     in
      let summary =
-       batch_summary cfg setup.network ~origin:setup.origin ~topic ~topic_total
+       batch_summary cfg setup.network ~origin:setup.origin ~topic
+         ~topic_total:(Placement.topic_total setup.placement topic)
      in
      Update.local_change ?on_event ?plan setup.network ~origin:setup.origin
        ~summary ~counters

@@ -28,12 +28,12 @@ val topology_graph : Config.t -> Ri_util.Prng.t -> Ri_topology.Graph.t
 (** Which RI construction the trial needs.
 
     [For_query] uses the paper simulator's rooted construction — RIs
-    built downstream from the query originator (Appendix A).  It is
-    built fresh for every trial, never taken from the setup cache, and
-    a node's rows are installed when the walk first reads them (see
-    {!Ri_p2p.Network.create}), inside the walk's own phase.
+    built downstream from the query originator (Appendix A).
     [For_update] needs rows in every direction, so it builds the
-    converged network-wide state, cached across sweep cells. *)
+    converged network-wide state.  Either network is built fresh for
+    every trial, and a node's rows are installed when something first
+    reads them (see {!Ri_p2p.Network.create}) — a walk or a wave,
+    inside that reader's own phase. *)
 type purpose = For_query | For_update
 
 val build :

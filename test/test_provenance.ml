@@ -50,19 +50,6 @@ let test_wave_stamps_rows () =
   Alcotest.(check int) "untouched row keeps its stamp" 0
     (Scheme.row_stamp (Network.ri net 2) ~peer:3)
 
-let test_wave_counter_per_instance () =
-  let net = path_net () in
-  bump net 0 50.;
-  let clone = Network.copy net in
-  bump clone 0 10.;
-  bump net 0 10.;
-  (* Copies count independently, so parallel trials on cloned networks
-     stamp identical ids regardless of interleaving. *)
-  Alcotest.(check int) "clone continues from the copied counter" 2
-    (Scheme.row_stamp (Network.ri clone 3) ~peer:2);
-  Alcotest.(check int) "original unaffected by the clone" 2
-    (Scheme.row_stamp (Network.ri net 3) ~peer:2)
-
 (* ------------------------------------------------------------------ *)
 (* Decision-record semantics.                                          *)
 
@@ -251,8 +238,6 @@ let suite =
     [
       Alcotest.test_case "waves stamp rewritten rows" `Quick
         test_wave_stamps_rows;
-      Alcotest.test_case "wave counter is per-instance" `Quick
-        test_wave_counter_per_instance;
       Alcotest.test_case "decide record invariants" `Quick
         test_decide_invariants;
       Alcotest.test_case "exact CRI has zero count regret" `Quick

@@ -126,22 +126,23 @@ let test_persist_rejects_corrupt () =
     (List.nth (rows_snapshot net) 3 = before)
 
 (* Byte flips and truncations of a persisted image, for each scheme on a
-   30-node tree: each either is refused with the documented error,
-   leaving the node crash-stopped with its rows, or restores only
-   finite, non-negative cells. *)
+   30-node tree built afresh for each case: each either is refused with
+   the documented error, leaving the node crash-stopped with its rows,
+   or restores only finite, non-negative cells. *)
 let fuzz_nets =
   lazy
     (let cfg = Config.scaled { Config.base with Config.seed = 11 } ~num_nodes:30 in
      List.map
        (fun search ->
          let cfg = Config.with_search cfg (Config.Ri search) in
-         let net = (Trial.build ~purpose:Trial.For_update cfg ~trial:0).Trial.network in
+         let build () = (Trial.build ~purpose:Trial.For_update cfg ~trial:0).Trial.network in
+         let net = build () in
          (* The best-linked node, so the image holds several rows. *)
          let v = ref 0 in
          for u = 1 to Network.size net - 1 do
            if Network.degree net u > Network.degree net !v then v := u
          done;
-         (net, !v))
+         (build, !v))
        Config.[ cri; hri cfg; eri cfg ])
 
 let payload_cells = function
@@ -156,8 +157,8 @@ let prop_stale_image_fuzz =
     QCheck.(
       triple (int_range 0 2) bool (pair (int_range 0 100_000) (int_range 1 255)))
     (fun (scheme, truncate, (at, flip)) ->
-      let base, v = List.nth (Lazy.force fuzz_nets) scheme in
-      let net = Network.copy base in
+      let build, v = List.nth (Lazy.force fuzz_nets) scheme in
+      let net = build () in
       let image = Churn.persist_rows net v in
       let at = at mod Bytes.length image in
       let image =

@@ -147,22 +147,6 @@ let test_rowstore_growth_preserves_rows () =
   Alcotest.check exact "row survived growth" [| 1.5; 2.5 |]
     (Array.sub (Rowstore.data s) off0' 2)
 
-let test_rowstore_copy_is_independent () =
-  let s = Rowstore.create ~rows:2 ~stride:2 () in
-  let off = Rowstore.ensure s 4 in
-  (Rowstore.data s).(off) <- 9.;
-  let c = Rowstore.copy s in
-  (* writes to either side stay private *)
-  (Rowstore.data c).(off) <- 1.;
-  Alcotest.check exact "original floats untouched" [| 9.; 0. |]
-    (Array.sub (Rowstore.data s) off 2);
-  (* inserting into the clone (copy-on-write path) must not leak into
-     the original's peer table, and vice versa *)
-  ignore (Rowstore.ensure c 5);
-  Rowstore.remove s 4;
-  Alcotest.(check (list int)) "clone kept its rows" [ 4; 5 ] (Rowstore.peers c);
-  Alcotest.(check (list int)) "original kept its removal" [] (Rowstore.peers s)
-
 (* {2 Flat CRI/ERI vs the boxed reference model} *)
 
 (* The boxed reference mirrors the representation the flat store
@@ -322,22 +306,6 @@ let prop_eri_matches_reference =
           && got.Summary.by_topic = want.Summary.by_topic)
         [ None; Some 0; Some 3; Some 6; Some 99 ])
 
-let prop_copy_matches_original =
-  QCheck.Test.make ~name:"CRI copy exports = original (bit-exact)" ~count:100
-    ops_arb (fun ops ->
-      let flat, reference = replay_cri ops in
-      let clone = Scheme.copy flat in
-      (* the clone answers like the original... *)
-      exports_match clone reference
-      &&
-      (* ...and diverges independently once mutated (insertion forces
-         the copy-on-write peer table to materialise) *)
-      let extra = summary_of_row [| 10.; 11.; 12.; 13.; 14. |] in
-      Scheme.set_row clone ~peer:42 (Scheme.Vector extra);
-      Ref_model.set_row reference ~peer:42 extra;
-      exports_match clone reference && exports_match flat reference = false
-      || Scheme.row flat ~peer:42 = None)
-
 let test_row_roundtrip () =
   let flat = Scheme.create Scheme.Cri_kind ~width ~local:local_summary in
   let s = summary_of_row [| 1.; 2.; 3.; 4.; 5. |] in
@@ -348,16 +316,16 @@ let test_row_roundtrip () =
 
 (* {2 Reset stores}
 
-   The rooted build reuses one scratch store per network, resetting it
-   between nodes, and relies on a reset store iterating an insert
-   sequence exactly as a fresh one does. *)
+   The rooted and converged builds reuse one scratch store per network,
+   resetting it between nodes, and rely on a reset store iterating an
+   insert sequence exactly as a fresh one does. *)
 
 type dirt = Put of int | Drop of int
 
 (* One round dirties the reused store — inserts past its one-row
    capacity and past the peer table's 16- and 32-bucket resizes, and
-   removes — optionally clones it, resets it, and feeds it and a fresh
-   store the same sequence of 0-80 distinct peers. *)
+   removes — resets it, and feeds it and a fresh store the same
+   sequence of 0-80 distinct peers. *)
 let reset_round_gen =
   QCheck.Gen.(
     list_size (int_range 0 120)
@@ -367,18 +335,17 @@ let reset_round_gen =
            (1, map (fun p -> Drop p) (int_range 0 199));
          ])
     >>= fun dirt ->
-    bool >>= fun clone ->
     int_range 0 80 >>= fun k ->
     shuffle_l (List.init 200 Fun.id) >>= fun peers ->
-    return (dirt, clone, List.filteri (fun i _ -> i < k) peers))
+    return (dirt, List.filteri (fun i _ -> i < k) peers))
 
 let reset_case =
   QCheck.make
     ~print:(fun rounds ->
       String.concat " | "
         (List.map
-           (fun (dirt, clone, seq) ->
-             Printf.sprintf "dirt=%d clone=%b seq=[%s]" (List.length dirt) clone
+           (fun (dirt, seq) ->
+             Printf.sprintf "dirt=%d seq=[%s]" (List.length dirt)
                (String.concat ";" (List.map string_of_int seq)))
            rounds))
     QCheck.Gen.(list_size (int_range 1 4) reset_round_gen)
@@ -403,17 +370,11 @@ let prop_reset_like_fresh =
         Rowstore.load_row t ~peer row ~pos:0
       in
       List.for_all
-        (fun (dirt, clone, seq) ->
+        (fun (dirt, seq) ->
           List.iter
             (function
               | Put p -> load scratch p | Drop p -> Rowstore.remove scratch p)
             dirt;
-          let kept =
-            if clone then
-              let c = Rowstore.copy scratch in
-              Some (c, iterated c)
-            else None
-          in
           Rowstore.reset scratch;
           let empty = Rowstore.count scratch = 0 in
           let fresh = Rowstore.create ~stride () in
@@ -424,8 +385,7 @@ let prop_reset_like_fresh =
             seq;
           empty
           && Rowstore.iteration_peers scratch = Rowstore.iteration_peers fresh
-          && iterated scratch = iterated fresh
-          && match kept with None -> true | Some (c, rows) -> iterated c = rows)
+          && iterated scratch = iterated fresh)
         rounds)
 
 let test_rowstore_reset_zeroes () =
@@ -460,8 +420,6 @@ let suite =
         test_rowstore_growth_honors_hint;
       Alcotest.test_case "rowstore growth preserves rows" `Quick
         test_rowstore_growth_preserves_rows;
-      Alcotest.test_case "rowstore copy is independent" `Quick
-        test_rowstore_copy_is_independent;
       Alcotest.test_case "slice bounds checked" `Quick test_slice_bounds;
       Alcotest.test_case "row roundtrip" `Quick test_row_roundtrip;
       Alcotest.test_case "rowstore reset zeroes rows and stamps" `Quick
@@ -472,6 +430,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_decay_slice;
       QCheck_alcotest.to_alcotest prop_cri_matches_reference;
       QCheck_alcotest.to_alcotest prop_eri_matches_reference;
-      QCheck_alcotest.to_alcotest prop_copy_matches_original;
       QCheck_alcotest.to_alcotest prop_reset_like_fresh;
     ] )
