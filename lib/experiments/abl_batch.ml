@@ -34,11 +34,8 @@ let run_once (cfg : Config.t) ~batched ~trial =
   let topic = 0 in
   let step =
     (* The same total volume as Trial.run_update's batch, in ten parts. *)
-    let total = ref 0. in
-    for v = 0 to Network.size net - 1 do
-      total := !total +. Summary.get (Network.raw_local_summary net v) topic
-    done;
-    Float.max 1. (cfg.Config.update_fraction *. !total /. float_of_int changes)
+    let total = Placement.topic_total setup.Trial.placement topic in
+    Float.max 1. (cfg.Config.update_fraction *. total /. float_of_int changes)
   in
   let counters = Message.create () in
   let current = ref (Network.raw_local_summary net origin) in

@@ -359,13 +359,9 @@ let simulate (cfg : Config.t) ~opts ~qps ~trial =
       let waves = ref 0 in
       if opts.o_update_rate > 0. && Network.has_ri net then begin
         let budget = Update.default_budget net in
-        let topic_totals = Array.make cfg.Config.topics 0. in
-        for v = 0 to n - 1 do
-          let s = Network.raw_local_summary net v in
-          for tp = 0 to cfg.Config.topics - 1 do
-            topic_totals.(tp) <- topic_totals.(tp) +. Summary.get s tp
-          done
-        done;
+        let topic_totals =
+          Array.init cfg.Config.topics (Placement.topic_total setup.Trial.placement)
+        in
         let uzipf =
           Workload.Zipf.create ~exponent:opts.o_zipf
             ~shift_every:opts.o_shift_every setup.Trial.universe
