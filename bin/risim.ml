@@ -165,6 +165,14 @@ let trials_t =
     & opt (int_conv ~min:1 ~what:"--trials" ()) 30
     & info [ "trials" ] ~docv:"T" ~doc)
 
+(* Trials count from 0, so a negative index names no trial a run
+   would make. *)
+let trial_t =
+  Arg.(
+    value
+    & opt (int_conv ~min:0 ~what:"--trial" ()) 0
+    & info [ "trial" ] ~docv:"I" ~doc:"Trial index, from 0.")
+
 let rel_error_t =
   let doc = "Target relative error of the 95% confidence interval (> 0)." in
   Arg.(
@@ -625,9 +633,6 @@ let query_cmd =
         print_gc_table ();
         `Ok ()
   in
-  let trial_t =
-    Arg.(value & opt int 0 & info [ "trial" ] ~docv:"I" ~doc:"Trial index.")
-  in
   Cmd.v
     (Cmd.info "query" ~doc:"Run a single query trial and print its metrics")
     Term.(
@@ -684,9 +689,6 @@ let update_cmd =
           m.Trial.update_wire_bytes;
         print_gc_table ();
         `Ok ()
-  in
-  let trial_t =
-    Arg.(value & opt int 0 & info [ "trial" ] ~docv:"I" ~doc:"Trial index.")
   in
   Cmd.v
     (Cmd.info "update" ~doc:"Run a single update trial and print its cost")
@@ -877,9 +879,6 @@ let write_or_print ~what out text =
       Printf.printf "%s written to %s\n" what file
 
 let explain_cmd =
-  let trial_t =
-    Arg.(value & opt int 0 & info [ "trial" ] ~docv:"I" ~doc:"Trial index.")
-  in
   let out_t =
     let doc = "Write the explanation to $(docv) instead of stdout." in
     out_file_arg [ "o"; "out" ] ~doc
