@@ -154,6 +154,35 @@ let check_growth ~bound prefix () =
         true (ratio <= bound))
     checked
 
+(* A converged build stages one row per directed link where a rooted
+   build stages one reach per node, and computes one export per node in
+   each of its two passes where the rooted build computes one: at 4n
+   nodes each converged build on a tree overlay allocates at most twice
+   the words of the rooted build of the same scheme and overlay, rows
+   not installed in either.  Power-law overlays are left out: their
+   crossing rows need storage of their own. *)
+let converged_per_rooted = 2.0
+
+let check_converged_vs_rooted () =
+  let large name =
+    match List.find_opt (fun (n, _, _) -> n = name) (Lazy.force rows) with
+    | Some (_, _, words) -> words
+    | None -> Alcotest.fail (name ^ " not measured")
+  in
+  List.iter
+    (fun overlay ->
+      List.iter
+        (fun (scheme, _) ->
+          let row what = Printf.sprintf "%s %s %s" what scheme overlay in
+          let converged = large (row "converged") and rooted = large (row "rooted") in
+          let ratio = converged /. rooted in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s at %d nodes: %.1f vs %.1f, %.2fx (bound %.2fx)"
+               (row "converged") (4 * n) converged rooted ratio converged_per_rooted)
+            true (ratio <= converged_per_rooted))
+        schemes)
+    trees
+
 let suite =
   ( "growth",
     [
@@ -164,6 +193,8 @@ let suite =
         (check_growth ~bound:linear "rooted");
       Alcotest.test_case "converged builds are linear" `Quick
         (check_growth ~bound:linear "converged");
+      Alcotest.test_case "a converged build costs at most twice a rooted one" `Quick
+        check_converged_vs_rooted;
       Alcotest.test_case "a query is flat" `Quick (check_growth ~bound:flat_query "query");
       Alcotest.test_case "an update wave is at most linear" `Quick
         (check_growth ~bound:linear "wave");
