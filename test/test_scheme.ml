@@ -575,6 +575,31 @@ let prop_exports_bits =
            (None :: List.init 10 Option.some)
       && goodness_bits t)
 
+(* The flat kernel a bulk build writes rows with: every peer's export
+   and the whole export, staged in one array and boxed back, carry the
+   reference's bits. *)
+let prop_blit_exports_bits =
+  QCheck.Test.make ~name:"blit_exports bits match the reference" ~count:400
+    export_case (fun case ->
+      let t = build_index case in
+      let stride = Rowstore.stride (Scheme.rowstore t) in
+      let peers = Array.of_list (Scheme.peers t) in
+      let n = Array.length peers in
+      let slot p =
+        let rec find i = if peers.(i) = p then i else find (i + 1) in
+        find 0 * stride
+      in
+      let dst = Array.make ((n + 1) * stride) Float.nan in
+      Scheme.blit_exports t ~work:(Array.make stride Float.nan) ~all:(n * stride)
+        slot dst;
+      payload_bits (Scheme.payload_at t dst (n * stride)) (Ref_export.export t ~exclude:None)
+      && Array.for_all
+           (fun p ->
+             payload_bits
+               (Scheme.payload_at t dst (slot p))
+               (Ref_export.export t ~exclude:(Some p)))
+           peers)
+
 (* Allocation guard for the per-delivery kernels: after a warm-up call,
    1000 calls must allocate nothing of their own.  A kernel returning a
    float hands back one boxed float (2 words) — the native calling
@@ -651,6 +676,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_exceeds_rel_matches_reference;
       QCheck_alcotest.to_alcotest prop_distance_bits;
       QCheck_alcotest.to_alcotest prop_exports_bits;
+      QCheck_alcotest.to_alcotest prop_blit_exports_bits;
       Alcotest.test_case "kernels do not allocate" `Quick
         test_kernels_do_not_allocate;
     ] )
