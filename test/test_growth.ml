@@ -113,14 +113,17 @@ let trial_words nodes trial =
           end;
           let converged, w = measured (build Network.Converged) in
           record (row "converged") w;
-          if overlay = "tree" then
-            record (row "storage/node")
-              (float_of_int (Network.storage_words converged) /. float_of_int nodes);
+          (* The wave runs before [storage_words], which installs every
+             node: on every tree overlay the wave pays the installs of
+             the nodes it reaches. *)
           if on_tree then begin
             let converged = setup converged in
             record (row "wave")
               (snd (measured (fun () -> Trial.run_update_on cfg converged)))
-          end)
+          end;
+          if overlay = "tree" then
+            record (row "storage/node")
+              (float_of_int (Network.storage_words converged) /. float_of_int nodes))
         schemes)
     overlays;
   List.rev !words
