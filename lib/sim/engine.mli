@@ -2,39 +2,47 @@
 
     The synchronous simulator runs each query or update wave to
     completion before the next begins; this engine lets thousands of
-    them interleave.  It owns a logical nanosecond clock, a binary-heap
-    event queue, and one FIFO mailbox per node: a message sent to a
-    node crosses the link (constant [link_ns]), waits its turn in the
-    mailbox, is serviced for [service_ns], and only then runs its
+    them interleave.  It owns a logical nanosecond clock, an event
+    queue split by delay, and one FIFO mailbox per node: a message sent
+    to a node crosses the link (constant [link_ns]), waits its turn in
+    the mailbox, is serviced for [service_ns], and only then runs its
     handler — which typically advances a query state machine one hop
     and sends the next message.
 
-    {b Events.}  The queue is a struct-of-arrays heap: each slot holds
-    an event kind (a raw {!schedule} event, a message landing in a
-    mailbox, or a service completion), the node, the completed
-    message's queue wait and the caller's handler, and {!run}
-    dispatches on the kind.  So the engine allocates nothing per event
-    of its own — no heap record, option or closure — once the heap has
-    grown to the peak number of pending events; a message that finds
-    its node busy still takes a mailbox cell.
+    {b Events.}  The queue has three parts, each a struct of arrays.
+    A binary heap holds the events whose time the caller picks: raw
+    {!schedule} events and {!inject}ed messages.  Two FIFO rings hold
+    the events of one constant delay each: messages crossing a link,
+    due [link_ns] after their {!send}, and service completions, due
+    [service_ns] after service starts, with the completed message's
+    queue wait.  The clock never goes back, so each ring is born
+    sorted, and a send or a service start costs O(1) however many
+    events are pending.  Every slot holds the node and the caller's
+    handler, and {!run} dispatches on the part and, in the heap, on
+    the kind.  So the engine allocates nothing per event of its own —
+    no heap record, option or closure — once its arrays have grown to
+    the peak number of pending events; a message that finds its node
+    busy still takes a mailbox cell.
 
-    {b Determinism.}  Heap order is [(time, seq)]: [seq] is assigned in
-    program order at scheduling time, so equal-time events fire exactly
-    in the order they were scheduled.  One engine drives one trial on
-    one domain, and every random draw comes from streams derived from
-    [(seed, trial)] — so the full event order is a function of
-    [(seed, trial, seq)], independent of the pool width; cross-trial
-    parallelism composes through the usual per-trial observability
-    merge.  With [service_ns = 0] and [link_ns = 0] the schedule
-    degenerates to pure scheduling order, which replays the synchronous
-    execution of each message chain bit-for-bit.
+    {b Determinism.}  Events fire in [(time, seq)] order, whichever
+    part of the queue holds them: [seq] is assigned in program order
+    at scheduling time, so equal-time events fire exactly in the order
+    they were scheduled, and {!run} pops the least [(time, seq)] of
+    the heap's root and the two rings' heads.  One engine drives one
+    trial on one domain, and every random draw comes from streams
+    derived from [(seed, trial)] — so the full event order is a
+    function of [(seed, trial, seq)], independent of the pool width;
+    cross-trial parallelism composes through the usual per-trial
+    observability merge.  With [service_ns = 0] and [link_ns = 0] the
+    schedule degenerates to pure scheduling order, which replays the
+    synchronous execution of each message chain bit-for-bit.
 
     {b Attribution.}  Every mailbox delivery is attributed to its node
     in flat per-node arrays — arrivals, completions, busy and
     queue-wait nanoseconds, depth sum and peak — the raw feed of the
     traffic observatory's hotspot profiler ({!Ri_obs.Observatory}).
     The accounting is always on: plain integer stores on paths that
-    already pay a heap operation per event.
+    already pay a queue operation per event.
 
     {b Depth conventions.}  Two related statistics, one definition of
     "queue depth": the number of {e waiting} messages in a mailbox,
