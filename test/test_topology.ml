@@ -96,6 +96,42 @@ let test_power_law_no_bridging_megahub () =
   Alcotest.(check bool) "no artificial hub" true
     (Metrics.max_degree g <= cap + 10)
 
+(* Adjacency digests of [Power_law.generate] at the paper's exponent.
+   The drafts these sizes wire hold many components (75 at 300 nodes,
+   406 to 427 at 2,000 and 2,050 to 2,099 at 10,000), so the pins cover
+   the representatives, the giant component, its member order and the
+   anchor draws that bridge the rest to it. *)
+let power_law_digest ~n ~seed =
+  let g = Power_law.generate (Prng.create seed) ~n ~exponent:(-2.2088) () in
+  let buf = Buffer.create (16 * n) in
+  for v = 0 to n - 1 do
+    Printf.bprintf buf "%d:" v;
+    Array.iter (Printf.bprintf buf " %d") (Graph.neighbors g v);
+    Buffer.add_char buf '\n'
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let power_law_digests =
+  [
+    (300, 1, "e8e99114cc9ed91c4de9114fae0bb0d7");
+    (2_000, 1, "40c8411a3ca37be8ffdd06a46c4deb54");
+    (2_000, 2, "c5e97f3cffe1dd97276e45e000dbfa41");
+    (2_000, 3, "4ae728154c7214feb4501ae0bb84983e");
+    (2_000, 4, "9cc37a157641f525abe184799c514794");
+    (2_000, 5, "72207b9ba7ed4b912aee9d43b9fedd4e");
+    (10_000, 1, "d8c0d9d29fcb6a20e0801143bb0005ef");
+    (10_000, 2, "39bd26392d8ada9b722e63ba4483a7fb");
+    (10_000, 3, "774a307a004554e2b2e506f43316dc1f");
+  ]
+
+let test_power_law_digests () =
+  List.iter
+    (fun (n, seed, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%d nodes, seed %d" n seed)
+        expected (power_law_digest ~n ~seed))
+    power_law_digests
+
 let test_power_law_validation () =
   let rng = Prng.create 9 in
   Alcotest.check_raises "positive exponent"
@@ -144,6 +180,7 @@ let suite =
       Alcotest.test_case "power law degree cap" `Quick test_power_law_max_degree_cap;
       Alcotest.test_case "power law bridging" `Quick test_power_law_no_bridging_megahub;
       Alcotest.test_case "power law validation" `Quick test_power_law_validation;
+      Alcotest.test_case "power law digests" `Quick test_power_law_digests;
       Alcotest.test_case "metrics on path graph" `Quick test_metrics_path_graph;
       Alcotest.test_case "power law short paths" `Slow test_power_law_shorter_paths_than_tree;
       Alcotest.test_case "degree histogram" `Quick test_degree_histogram;
