@@ -208,10 +208,6 @@ val remove_link : t -> int -> int -> unit
 
 (** {2 Diagnostics} *)
 
-val converged_iterations : t -> int
-(** Fixed-point sweeps the builder needed (0 for No-RI; 1 means the
-    exact tree computation sufficed). *)
-
 val fresh_wave : t -> int
 (** Draw the next logical update-wave id (1, 2, ...) for provenance
     lineage: [Update.wave] calls this once per wave and stamps the RI
