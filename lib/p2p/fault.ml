@@ -292,33 +292,16 @@ let make ?fault_seed ?neighbors s ~seed ~trial ~nodes ~protect =
           | p :: _ when p >= 0 && p < nodes -> p
           | _ -> Prng.int t.partition_rng nodes
         in
-        let parent = Array.make nodes (-1) in
-        let order = Array.make nodes (-1) in
-        let reached = Array.make nodes false in
-        let count = ref 0 in
-        let frontier = Queue.create () in
-        reached.(root) <- true;
-        Queue.add root frontier;
-        while not (Queue.is_empty frontier) do
-          let u = Queue.pop frontier in
-          order.(!count) <- u;
-          incr count;
-          Array.iter
-            (fun v ->
-              if not reached.(v) then begin
-                reached.(v) <- true;
-                parent.(v) <- u;
-                Queue.add v frontier
-              end)
-            (nbrs u)
-        done;
+        let { Ri_topology.Graph.order; reached; parent } =
+          Ri_topology.Graph.bfs ~root ~n:nodes nbrs
+        in
         (* Subtree sizes and protected-node marks, accumulated leaf-up
            (reverse BFS order visits every child before its parent). *)
         let size = Array.make nodes 1 in
         let has_protected =
           Array.init nodes (fun v -> List.mem v protect)
         in
-        for i = !count - 1 downto 1 do
+        for i = reached - 1 downto 1 do
           let v = order.(i) in
           let p = parent.(v) in
           size.(p) <- size.(p) + size.(v);
@@ -328,7 +311,7 @@ let make ?fault_seed ?neighbors s ~seed ~trial ~nodes ~protect =
            inside, size closest to the target (lowest node id breaks
            ties, so the choice is deterministic). *)
         let best = ref (-1) and best_gap = ref max_int in
-        for i = 1 to !count - 1 do
+        for i = 1 to reached - 1 do
           let v = order.(i) in
           if not has_protected.(v) then begin
             let gap = abs (size.(v) - target) in
@@ -339,21 +322,15 @@ let make ?fault_seed ?neighbors s ~seed ~trial ~nodes ~protect =
           end
         done;
         if !best >= 0 then begin
-          (* Mark the severed subtree as the minority side.  Unreached
-             nodes (a disconnected overlay) stay on the majority side:
-             they were already partitioned from everything. *)
-          let mark = Queue.create () in
+          (* Mark the severed subtree as the minority side, in one
+             forward scan: a parent comes before its children in BFS
+             order.  Unreached nodes (a disconnected overlay) stay on
+             the majority side: they were already partitioned from
+             everything. *)
           t.side.(!best) <- true;
-          Queue.add !best mark;
-          while not (Queue.is_empty mark) do
-            let u = Queue.pop mark in
-            Array.iter
-              (fun v ->
-                if parent.(v) = u && not t.side.(v) then begin
-                  t.side.(v) <- true;
-                  Queue.add v mark
-                end)
-              (nbrs u)
+          for i = 1 to reached - 1 do
+            let v = order.(i) in
+            if t.side.(parent.(v)) then t.side.(v) <- true
           done;
           t.cut_active <- true
         end

@@ -146,72 +146,53 @@ let iter_nodes f t =
     f v
   done
 
-let bfs_run t src ~on_tree_edge =
-  let dist = Array.make (n t) max_int in
-  dist.(src) <- 0;
-  let q = Queue.create () in
-  Queue.add src q;
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    let row = t.adj.(u) in
-    for i = 0 to Array.length row - 1 do
-      let v = row.(i) in
-      if dist.(v) = max_int then begin
-        dist.(v) <- dist.(u) + 1;
-        on_tree_edge ~parent:u ~child:v;
-        Queue.add v q
-      end
-    done
-  done;
-  dist
+type forest = { order : int array; reached : int; parent : int array }
 
-let bfs_distances t src =
-  bfs_run t src ~on_tree_edge:(fun ~parent:_ ~child:_ -> ())
-
-let bfs_parents t src =
-  let parents = Array.make (n t) (-1) in
-  parents.(src) <- src;
-  let (_ : int array) =
-    bfs_run t src ~on_tree_edge:(fun ~parent ~child -> parents.(child) <- parent)
-  in
-  parents
-
-let is_connected t =
-  let dist = bfs_distances t 0 in
-  Array.for_all (fun d -> d < max_int) dist
-
-let component_representatives t =
-  let seen = Array.make (n t) false in
-  let reps = ref [] in
-  for v = 0 to n t - 1 do
-    if not seen.(v) then begin
-      reps := v :: !reps;
-      let dist = bfs_distances t v in
-      Array.iteri (fun u d -> if d < max_int then seen.(u) <- true) dist
-    end
-  done;
-  List.rev !reps
-
-let spanning_tree_edges t =
-  let seen = Array.make (n t) false in
-  let acc = ref [] in
-  let visit root =
-    if not seen.(root) then begin
-      seen.(root) <- true;
-      let q = Queue.create () in
-      Queue.add root q;
-      while not (Queue.is_empty q) do
-        let u = Queue.pop q in
-        Array.iter
-          (fun v ->
-            if not seen.(v) then begin
-              seen.(v) <- true;
-              acc := (min u v, max u v) :: !acc;
-              Queue.add v q
-            end)
-          t.adj.(u)
+let bfs ?root ~n neighbours =
+  (match root with
+  | Some r when r < 0 || r >= n -> invalid_arg "Graph.bfs: root out of range"
+  | Some _ | None -> ());
+  let first = Option.value root ~default:0 in
+  let last = Option.value root ~default:(n - 1) in
+  let parent = Array.make n (-2) and order = Array.make n 0 in
+  (* [order] doubles as the queue: [head] is the next node to expand. *)
+  let reached = ref 0 and head = ref 0 in
+  for r = first to last do
+    if parent.(r) = -2 then begin
+      parent.(r) <- -1;
+      order.(!reached) <- r;
+      incr reached;
+      while !head < !reached do
+        let u = order.(!head) in
+        incr head;
+        let row = neighbours u in
+        for k = 0 to Array.length row - 1 do
+          let v = row.(k) in
+          if parent.(v) = -2 then begin
+            parent.(v) <- u;
+            order.(!reached) <- v;
+            incr reached
+          end
+        done
       done
     end
-  in
-  List.iter visit (List.init (n t) Fun.id);
-  List.rev !acc
+  done;
+  { order; reached = !reached; parent }
+
+(* Parents come before their children in [order], so a forward scan
+   finds each parent's depth already written over its parent id. *)
+let depths_in_place f =
+  let d = f.parent in
+  for i = 0 to f.reached - 1 do
+    let v = f.order.(i) in
+    let p = d.(v) in
+    d.(v) <- (if p = -1 then 0 else d.(p) + 1)
+  done;
+  for v = 0 to Array.length d - 1 do
+    if d.(v) = -2 then d.(v) <- max_int
+  done;
+  d
+
+let bfs_distances t src = depths_in_place (bfs ~root:src ~n:(n t) (neighbors t))
+
+let is_connected t = (bfs ~root:0 ~n:(n t) (neighbors t)).reached = n t

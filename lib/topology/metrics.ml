@@ -62,7 +62,10 @@ let eccentricity g v =
     0 dist
 
 let cyclomatic_number g =
-  let c = List.length (Graph.component_representatives g) in
-  Graph.edge_count g - Graph.n g + c
+  let n = Graph.n g in
+  (* One component per root of the breadth-first forest. *)
+  let forest = Graph.bfs ~n (Graph.neighbors g) in
+  let c = Array.fold_left (fun c p -> if p = -1 then c + 1 else c) 0 forest.parent in
+  Graph.edge_count g - n + c
 
 let is_tree g = cyclomatic_number g = 0 && Graph.is_connected g

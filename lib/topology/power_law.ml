@@ -52,35 +52,31 @@ let generate g ~n ~exponent ?max_degree ?(min_degree = 1) () =
     end
   done;
   let draft = Graph.Builder.to_graph b in
-  match Graph.component_representatives draft with
-  | [] | [ _ ] -> draft
-  | reps ->
-      (* Bridge every smaller component to the giant one, each at a
-         uniformly random member of the giant component — anchoring at a
-         fixed node would graft an artificial mega-hub onto the degree
-         distribution. *)
-      let members rep =
-        let dist = Graph.bfs_distances draft rep in
-        let acc = ref [] in
-        Array.iteri (fun v d -> if d < max_int then acc := v :: !acc) dist;
-        Array.of_list !acc
-      in
-      let components = List.map (fun rep -> (rep, members rep)) reps in
-      let _, giant =
-        List.fold_left
-          (fun ((_, best) as acc) ((_, m) as c) ->
-            if Array.length m > Array.length best then c else acc)
-          (List.hd components) (List.tl components)
-      in
-      let b = Graph.Builder.create ~n in
-      List.iter
-        (fun (u, v) -> ignore (Graph.Builder.add_edge b u v))
-        (Graph.edges draft);
-      List.iter
-        (fun (rep, m) ->
-          if m != giant then begin
-            let anchor = Prng.pick g giant in
-            ignore (Graph.Builder.add_edge b anchor rep)
-          end)
-        components;
-      Graph.Builder.to_graph b
+  (* Each component is a run of the forest's visit order that starts at
+     its root, its least id; roots come in ascending id. *)
+  let { Graph.order; parent; _ } = Graph.bfs ~n (Graph.neighbors draft) in
+  let giant = ref 0 and giant_len = ref 0 and run = ref 0 in
+  for i = 1 to n do
+    if i = n || parent.(order.(i)) = -1 then begin
+      if i - !run > !giant_len then begin
+        giant := !run;
+        giant_len := i - !run
+      end;
+      run := i
+    end
+  done;
+  if !giant_len = n then draft
+  else begin
+    (* Bridge every other component's root to the giant (the first
+       longest run), each at a uniformly random member, drawn from the
+       members in descending id — anchoring at a fixed node would graft
+       an artificial mega-hub onto the degree distribution.  [b] still
+       holds the draft's links. *)
+    let members = Array.sub order !giant !giant_len in
+    Array.sort (fun u v -> Int.compare v u) members;
+    for v = 0 to n - 1 do
+      if parent.(v) = -1 && v <> order.(!giant) then
+        ignore (Graph.Builder.add_edge b (Prng.pick g members) v)
+    done;
+    Graph.Builder.to_graph b
+  end
